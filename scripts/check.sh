@@ -18,7 +18,8 @@
 #                    - graph invariants for every built-in workload
 #   6. trace schema  - golden-file JSONL trace schema check
 #   7. parallel chaos equivalence
-#                    - smoke-profile serial vs process-pool scorecards
+#                    - smoke-profile inline vs process-pool scorecards,
+#                      plus the placement x policy x journal matrix
 #   8. kill-and-resume equivalence
 #                    - hard-killed chaos run resumed from its journal
 #                      must match an uninterrupted run byte-for-byte
@@ -111,10 +112,13 @@ run_stage "repro check-graph" python -m repro check-graph --all
 # Cheap (~2s), so it runs even with --fast.
 run_stage "trace schema (golden file)" \
     python -m pytest -q tests/telemetry/test_trace_io.py
-# Executor equivalence gate: the process-pool backend must produce
-# byte-identical scorecards to the serial one on the smoke profile.
+# Executor equivalence gate: running cells on the process pool must
+# produce byte-identical scorecards to running them inline on the
+# smoke profile, and every placement x failure-policy x journal
+# combination must agree.
 run_stage "parallel chaos equivalence (smoke)" \
-    python -m pytest -q tests/faults/test_parallel_runner.py -k smoke
+    python -m pytest -q tests/faults/test_parallel_runner.py \
+    tests/faults/test_executor_matrix.py -k smoke
 # Crash-safety gate: a chaos run hard-killed mid-campaign and resumed
 # from its checkpoint journal must print byte-identical output to an
 # uninterrupted run (serial and process-pool).

@@ -33,7 +33,7 @@ Process-boundary sinks are declarative — :func:`register_sink` adds
 one entry when a future seam (the ROADMAP's remote executor) grows a
 new pickle boundary. :func:`ensure_parallel_safe` is the runtime twin
 of the static REPRO2xx pass, called at construction time by
-``ParallelExecutor`` and ``ChaosWorkload`` the way simulator
+``CampaignExecutor`` and ``ChaosWorkload`` the way simulator
 construction calls ``ensure_valid_graph``.
 """
 
@@ -278,8 +278,8 @@ register_sink(ProcessBoundarySink(
     qualname="repro.faults.campaigns.CampaignCellSpec",
     factory_params={"controller_factory": 7},
     description=(
-        "cell specs are pickled whole when ParallelExecutor submits "
-        "them to pool workers"
+        "cell specs are pickled whole when CampaignExecutor submits "
+        "them to execute_cell on its pool workers"
     ),
 ))
 register_sink(ProcessBoundarySink(
@@ -306,8 +306,7 @@ register_sink(ProcessBoundarySink(
 #: extend this set.
 WORKER_ENTRY_POINTS: Set[str] = {
     "repro.faults.campaigns.run_campaign_cell",
-    "repro.faults.campaigns._execute_cell_in_worker",
-    "repro.faults.checkpoint.supervised_cell_attempt",
+    "repro.faults.executor.execute_cell",
 }
 
 
@@ -328,6 +327,9 @@ EQUIVALENCE_SENSITIVE_MODULES: Set[str] = {
     # byte-gated against a committed golden artifact, so its float
     # reductions must stay order-stable.
     "repro.sweeps.report",
+    # The campaign executor owns the canonical telemetry/span fold that
+    # makes inline, pool and resumed runs byte-identical.
+    "repro.faults.executor",
 }
 
 
@@ -1326,7 +1328,7 @@ def ensure_parallel_safe(
     """Reject values that cannot cross a process boundary.
 
     The construction-time mirror of ``ensure_valid_graph``: called by
-    :class:`~repro.faults.campaigns.ParallelExecutor` before
+    :class:`~repro.faults.executor.CampaignExecutor` before
     submitting cells and by ``ChaosWorkload`` registration, so the
     violation is reported where the value was built, not as a pickle
     traceback deep inside a campaign. Raises

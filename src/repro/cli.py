@@ -302,7 +302,7 @@ def _execute_run(
     """Dispatch one (already validated) experiment and print its rows."""
     if experiment == "chaos":
         from repro.errors import CheckpointError, FaultInjectionError
-        from repro.faults.checkpoint import CampaignInterrupted
+        from repro.faults.executor import CampaignInterrupted
 
         checkpoint = getattr(args, "checkpoint", None)
         try:
@@ -799,7 +799,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
         FaultInjectionError,
         SweepError,
     )
-    from repro.faults.checkpoint import CampaignInterrupted
+    from repro.faults.executor import CampaignInterrupted
     from repro.sweeps import build_sweep_report, load_spec, run_sweep
 
     if args.resume and args.checkpoint is None:

@@ -2,8 +2,8 @@
 
 Two layers retry with the same arithmetic: the control loop's
 reconfiguration retry (:class:`repro.core.controller.RetryConfig`,
-measured in policy intervals) and the campaign supervisor's cell retry
-(:class:`repro.faults.checkpoint.CellRetryPolicy`, measured in wall
+measured in policy intervals) and the campaign executor's cell retry
+(:class:`repro.faults.executor.CellRetryPolicy`, measured in wall
 seconds). Extracting the curve here keeps the two semantics from
 drifting: attempt ``n`` always waits ``initial * base ** (n - 1)``,
 capped at ``cap``.
@@ -22,7 +22,7 @@ def capped_backoff(
     The first retry waits ``initial``; each further retry multiplies
     the wait by ``base``, capped at ``cap``. Units are the caller's
     (policy intervals for the controller, seconds for the campaign
-    supervisor).
+    executor).
     """
     if attempt < 1:
         raise ValueError(f"attempt must be >= 1, got {attempt}")

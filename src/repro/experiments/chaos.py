@@ -23,15 +23,14 @@ profile on all three runtimes to expose their distinct recovery models
 
 Everything is deterministic: same profile, seed, workload, and campaign
 count ⇒ byte-identical scorecards and report, whether the cells run
-serially or on a process pool (``jobs``; see
-:class:`repro.faults.campaigns.ParallelExecutor`). All controller
+inline or on a process pool (``jobs``; see
+:class:`repro.faults.executor.CampaignExecutor`). All controller
 factories here are module-level functions or partials, so every cell
 spec pickles cleanly across worker processes.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -60,7 +59,6 @@ from repro.experiments.report import format_table
 from repro.faults.campaigns import (
     PROFILES,
     AggregateScore,
-    CampaignExecutor,
     CampaignGenerator,
     CampaignProfile,
     CampaignRunner,
@@ -68,20 +66,13 @@ from repro.faults.campaigns import (
     SasoScorecard,
     _cell_label,
     aggregate_scorecards,
-    make_executor,
-    resolve_jobs,
 )
-from repro.telemetry.progress import (
-    ProgressListener,
-    interrupted_cells,
-)
-from repro.faults.checkpoint import (
+from repro.telemetry.progress import ProgressListener
+from repro.faults.checkpoint import JournalHeader, open_journal
+from repro.faults.executor import (
     CampaignCoverage,
+    CampaignExecutor,
     CellRetryPolicy,
-    CheckpointJournal,
-    JournalHeader,
-    SupervisedExecutor,
-    run_supervised_campaign,
 )
 from repro.workloads.nexmark import ALL_QUERIES, get_query
 from repro.workloads.wordcount import (
@@ -269,11 +260,7 @@ class ChaosWorkload:
                 ),
             )
 
-    def runner(
-        self,
-        tick: float,
-        executor: Optional[CampaignExecutor] = None,
-    ) -> CampaignRunner:
+    def runner(self, tick: float) -> CampaignRunner:
         """A campaign runner over this workload."""
         graph = self.graph_factory()
         return CampaignRunner(
@@ -287,7 +274,6 @@ class ChaosWorkload:
                 track_record_latency=False,
                 source_catchup_factor=1.3,
             ),
-            executor=executor,
             scalable_operators=(
                 graph.names if self.global_scaling else None
             ),
@@ -367,9 +353,10 @@ class ChaosResult:
     """One chaos batch: raw scorecards, per-controller aggregates, and
     (optionally) per-runtime crash-recovery outage samples.
 
-    ``coverage`` is set for supervised (checkpointed) runs: exactly how
-    many cells were attempted, completed, and quarantined — a batch
-    with quarantined cells still aggregates, it just says so.
+    ``coverage`` is set for runs with a retry policy (checkpointed
+    runs have one by default): exactly how many cells were attempted,
+    completed, and quarantined — a batch with quarantined cells still
+    aggregates, it just says so.
     """
 
     profile: str
@@ -397,7 +384,6 @@ def run_chaos(
     include_recovery: bool = True,
     workload: str = DEFAULT_WORKLOAD,
     jobs: Optional[int] = None,
-    executor: Optional[CampaignExecutor] = None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
     retry: Optional[CellRetryPolicy] = None,
@@ -417,62 +403,61 @@ def run_chaos(
             three runtimes (skipped by fast smoke paths).
         workload: Built-in workload name (see :data:`WORKLOADS`).
         jobs: Campaign-cell worker processes; ``None`` consults
-            ``$REPRO_JOBS``, 1 (the default) runs serially in-process.
-            Results are byte-identical either way.
-        executor: Explicit cell executor; overrides ``jobs``.
-            Incompatible with ``checkpoint``.
-        checkpoint: Journal path enabling the supervised, crash-safe
-            path: every completed cell is durably recorded, failing
-            cells are retried then quarantined, and the result carries
-            :attr:`ChaosResult.coverage`. A hard-killed run resumes
-            with ``resume=True`` and produces byte-identical output.
+            ``$REPRO_JOBS``, 1 (the default) runs inline. Results are
+            byte-identical either way.
+        checkpoint: Journal path making the run crash-safe: every
+            completed cell is durably recorded, and a hard-killed run
+            resumes with ``resume=True`` producing byte-identical
+            output.
         resume: Resume from an existing ``checkpoint`` journal instead
             of starting fresh (requires ``checkpoint``).
-        retry: Per-cell retry policy for the supervised path.
-        cell_timeout: Per-cell wall-clock budget (seconds) for the
-            supervised path; a cell over budget counts as a failed
-            attempt.
+        retry: Per-cell retry policy: failing cells are retried, then
+            quarantined, and the result carries
+            :attr:`ChaosResult.coverage`. ``None`` fails fast, except
+            with a ``checkpoint``, which defaults to
+            :class:`~repro.faults.executor.CellRetryPolicy`.
+        cell_timeout: Per-cell wall-clock budget (seconds); a cell over
+            budget counts as a failed attempt.
         progress: Optional heartbeat sink (see
             :mod:`repro.telemetry.progress`); renders live cell
-            progress and, on the supervised path, journals heartbeats
-            so a resumed run can report what the dead run was doing.
-            Never affects scorecards, traces, or stdout.
+            progress and, with a checkpoint, journals heartbeats so a
+            resumed run can report what the dead run was doing. Never
+            affects scorecards, traces, or stdout.
+
+    SIGINT/SIGTERM drain in-flight cells and raise
+    :class:`~repro.faults.executor.CampaignInterrupted`.
     """
     spec = resolve_profile(profile)
     load = resolve_workload(workload)
-    if checkpoint is not None:
-        if executor is not None:
-            raise FaultInjectionError(
-                "pass either an explicit executor or a checkpoint "
-                "path, not both"
-            )
-        return _run_chaos_supervised(
-            spec,
-            load,
-            campaigns=int(campaigns),
-            seed=int(seed),
-            tick=tick,
-            include_recovery=include_recovery,
-            jobs=jobs,
-            checkpoint=checkpoint,
-            resume=resume,
-            retry=retry,
-            cell_timeout=cell_timeout,
-            progress=progress,
-        )
-    if resume:
-        raise FaultInjectionError(
-            "resume requires a checkpoint path"
-        )
-    if executor is None:
-        executor = make_executor(jobs, progress=progress)
-    runner = load.runner(tick, executor=executor)
+    if resume and checkpoint is None:
+        raise FaultInjectionError("resume requires a checkpoint path")
+    if retry is None and checkpoint is not None:
+        retry = CellRetryPolicy()
+    runner = load.runner(tick)
     generator = CampaignGenerator(
         spec,
         CampaignTargets.from_graph(load.graph_factory()),
         seed=seed,
     )
-    scorecards = runner.run(generator, campaigns)
+    header = JournalHeader(
+        profile=spec.name,
+        workload=load.name,
+        seed=int(seed),
+        campaigns=int(campaigns),
+        controllers=tuple(sorted(load.controllers_factory())),
+    )
+    with open_journal(checkpoint, header, resume=resume) as journal:
+        outcome = runner.run(
+            generator,
+            int(campaigns),
+            executor=CampaignExecutor(
+                jobs=jobs,
+                retry=retry,
+                cell_timeout=cell_timeout,
+                journal=journal,
+                progress=progress,
+            ),
+        )
     recovery: Dict[str, List[float]] = {}
     if include_recovery:
         recovery = recovery_distributions(seed=seed, tick=tick)
@@ -480,78 +465,11 @@ def run_chaos(
         profile=spec.name,
         campaigns=int(campaigns),
         seed=int(seed),
-        scorecards=scorecards,
-        aggregates=aggregate_scorecards(scorecards),
-        recovery=recovery,
-        workload=load.name,
-    )
-
-
-def _run_chaos_supervised(
-    spec: CampaignProfile,
-    load: ChaosWorkload,
-    *,
-    campaigns: int,
-    seed: int,
-    tick: float,
-    include_recovery: bool,
-    jobs: Optional[int],
-    checkpoint: str,
-    resume: bool,
-    retry: Optional[CellRetryPolicy],
-    cell_timeout: Optional[float],
-    progress: Optional[ProgressListener] = None,
-) -> ChaosResult:
-    """The crash-safe chaos path: journal + supervising executor."""
-    header = JournalHeader(
-        profile=spec.name,
-        workload=load.name,
-        seed=seed,
-        campaigns=campaigns,
-        controllers=tuple(sorted(load.controllers_factory())),
-    )
-    journal = CheckpointJournal.open(checkpoint, header, resume=resume)
-    try:
-        for note in journal.warnings:
-            warnings.warn(note, RuntimeWarning, stacklevel=3)
-        if resume:
-            for note in interrupted_cells(journal.heartbeats):
-                warnings.warn(
-                    f"interrupted run was executing {note} when it "
-                    f"stopped",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        supervisor = SupervisedExecutor(
-            jobs=resolve_jobs(jobs),
-            retry=retry,
-            cell_timeout=cell_timeout,
-            journal=journal,
-            progress=progress,
-        )
-        runner = load.runner(tick)
-        generator = CampaignGenerator(
-            spec,
-            CampaignTargets.from_graph(load.graph_factory()),
-            seed=seed,
-        )
-        outcome = run_supervised_campaign(
-            runner, generator, campaigns, supervisor
-        )
-    finally:
-        journal.close()
-    recovery: Dict[str, List[float]] = {}
-    if include_recovery:
-        recovery = recovery_distributions(seed=seed, tick=tick)
-    return ChaosResult(
-        profile=spec.name,
-        campaigns=campaigns,
-        seed=seed,
         scorecards=outcome.scorecards,
         aggregates=aggregate_scorecards(outcome.scorecards),
         recovery=recovery,
         workload=load.name,
-        coverage=outcome.coverage,
+        coverage=outcome.coverage if retry is not None else None,
     )
 
 

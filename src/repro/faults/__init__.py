@@ -6,10 +6,12 @@ The subsystem has four parts: declarative, validated fault *events*
 schedule to a live simulator without forking it
 (:mod:`repro.faults.injector`), and seeded chaos *campaigns* that
 sample many schedules from a declarative profile and score controllers
-under them (:mod:`repro.faults.campaigns`). Campaigns become
-crash-safe through :mod:`repro.faults.checkpoint`: a durable journal
-of completed cells plus a supervising executor with per-cell timeouts,
-bounded retry, and quarantine.
+under them (:mod:`repro.faults.campaigns`). One executor
+(:mod:`repro.faults.executor`) runs campaign cells inline or on a
+process pool, failing fast or retrying then quarantining, with
+per-cell timeouts and interrupt draining; campaigns become crash-safe
+through the durable journal of completed cells in
+:mod:`repro.faults.checkpoint`.
 """
 
 from repro.faults.events import (
@@ -33,34 +35,31 @@ from repro.faults.campaigns import (
     SCORE_WEIGHTS,
     AggregateScore,
     CampaignCellSpec,
-    CampaignExecutor,
     CampaignGenerator,
     CampaignProfile,
     CampaignRunner,
     CampaignTargets,
     CellKey,
-    ParallelExecutor,
     SasoScorecard,
-    SerialExecutor,
     aggregate_scorecards,
-    make_executor,
     resolve_jobs,
     run_campaign_cell,
     score_campaign_run,
 )
 from repro.faults.checkpoint import (
     CHECKPOINT_VERSION,
-    CampaignCoverage,
-    CampaignInterrupted,
-    CellRetryPolicy,
     CheckpointJournal,
     JournalCell,
     JournalHeader,
-    QuarantinedCell,
-    SupervisedExecutor,
-    SupervisedOutcome,
     cell_fingerprint,
-    run_supervised_campaign,
+)
+from repro.faults.executor import (
+    CampaignCoverage,
+    CampaignExecutor,
+    CampaignInterrupted,
+    CampaignOutcome,
+    CellRetryPolicy,
+    QuarantinedCell,
 )
 
 __all__ = [
@@ -71,6 +70,7 @@ __all__ = [
     "CampaignExecutor",
     "CampaignGenerator",
     "CampaignInterrupted",
+    "CampaignOutcome",
     "CampaignProfile",
     "CampaignRunner",
     "CampaignTargets",
@@ -90,20 +90,14 @@ __all__ = [
     "MetricDropout",
     "MetricLag",
     "PROFILES",
-    "ParallelExecutor",
     "QuarantinedCell",
     "RescaleFailure",
     "SCORE_WEIGHTS",
     "SasoScorecard",
-    "SerialExecutor",
-    "SupervisedExecutor",
-    "SupervisedOutcome",
     "aggregate_scorecards",
     "cell_fingerprint",
-    "make_executor",
     "parse_faults",
     "resolve_jobs",
     "run_campaign_cell",
-    "run_supervised_campaign",
     "score_campaign_run",
 ]

@@ -26,22 +26,20 @@ The pieces:
   crash-recovery time, with a single aggregate :attr:`SasoScorecard.score`
   (lower is better) so controllers can be ranked across campaigns.
 * :class:`CampaignRunner` — *execution*: seeds × campaigns × controllers
-  through the standard experiment harness, returning scorecards.
-* :class:`CampaignExecutor` — *where the cells run*: the serial
-  in-process default (:class:`SerialExecutor`) or a process pool
-  (:class:`ParallelExecutor`). Cells are keyed ``(seed, campaign,
-  controller)`` and merged in canonical order regardless of completion
-  order, so any executor produces byte-identical scorecards.
+  through the standard experiment harness, returning scorecards. Cells
+  are keyed ``(seed, campaign, controller)`` and run by
+  :class:`~repro.faults.executor.CampaignExecutor` (inline or on a
+  process pool, failing fast or retrying), which merges them in
+  canonical order regardless of completion order, so every placement
+  produces byte-identical scorecards.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import os
 import random
-import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -68,22 +66,7 @@ from repro.faults.events import (
 from repro.faults.schedule import FaultSchedule
 from repro.metrics import downtime_seconds
 from repro.telemetry.audit import AuditSummary, summarize_audits
-from repro.telemetry.progress import (
-    NULL_PROGRESS,
-    CellEvent,
-    ProgressListener,
-)
-from repro.telemetry.registry import (
-    MetricsRegistry,
-    active_registry,
-    metering,
-    wall_clock,
-)
-from repro.telemetry.spans import (
-    SpanProfiler,
-    active_profiler,
-    profiling,
-)
+from repro.telemetry.registry import active_registry
 from repro.telemetry.tracer import NULL_TRACER, active_tracer, tracing
 
 if TYPE_CHECKING:
@@ -91,7 +74,7 @@ if TYPE_CHECKING:
     from repro.engine.runtimes import Runtime
     from repro.engine.simulator import EngineConfig
     from repro.experiments.harness import ExperimentRun
-    from repro.faults.checkpoint import CheckpointJournal
+    from repro.faults.executor import CampaignExecutor, CampaignOutcome
 
 #: Fault kinds a profile's mix may weight (the ``--faults`` grammar's
 #: vocabulary). New kinds are appended, never inserted: the canonical
@@ -661,7 +644,7 @@ class CampaignCellSpec:
     """Everything one (seed × campaign × controller) cell needs to run.
 
     Specs are self-contained and must stay picklable — they cross
-    process boundaries under :class:`ParallelExecutor`. In particular
+    process boundaries when the executor runs a pool. In particular
     ``controller_factory`` must be a module-level callable or a
     :func:`functools.partial` of one; lambdas and closures do not
     pickle and fail at submission time with the cell named.
@@ -736,502 +719,6 @@ def run_campaign_cell(spec: CampaignCellSpec) -> SasoScorecard:
     )
 
 
-@dataclass(frozen=True)
-class _CellSuccess:
-    index: int
-    scorecard: SasoScorecard
-    telemetry: Dict[str, object]
-    #: Wall-clock seconds the cell took in its worker (heartbeat data;
-    #: never folded into any golden artifact).
-    duration: float = 0.0
-    #: pid of the process that executed the cell.
-    worker: int = 0
-    #: Span-tree payload when the parent had profiling enabled.
-    spans: Optional[Dict[str, object]] = None
-
-
-@dataclass(frozen=True)
-class _CellFailure:
-    index: int
-    key: CellKey
-    error: str
-    traceback: str
-
-
-# repro: worker-entry
-def _execute_cell_in_worker(
-    index: int, spec: CampaignCellSpec
-) -> Union[_CellSuccess, _CellFailure]:
-    """Worker-side cell body: fresh metrics registry, structured errors.
-
-    Failures are *returned*, not raised: ``concurrent.futures`` pickles
-    exceptions without their tracebacks, so the child formats its own
-    while it still has one. Telemetry lands in a per-worker registry
-    whose snapshot the parent merges back (workers inherit the parent's
-    ambient registry under the fork start method, but must not double
-    count into it).
-    """
-    registry = MetricsRegistry()
-    # Workers inherit the parent's ambient profiler under fork; its
-    # ``enabled`` flag is the opt-in signal. Spans are recorded into a
-    # fresh local profiler and returned through the result channel so
-    # the parent can fold them in canonical cell order.
-    profiler: Optional[SpanProfiler] = None
-    if active_profiler().enabled:
-        profiler = SpanProfiler()
-    started = wall_clock()
-    try:
-        with metering(registry):
-            if profiler is not None:
-                with profiling(profiler):
-                    card = run_campaign_cell(spec)
-            else:
-                card = run_campaign_cell(spec)
-    except Exception as error:  # noqa: BLE001 — resurfaced by parent
-        return _CellFailure(
-            index=index,
-            key=spec.key,
-            error=f"{type(error).__name__}: {error}",
-            traceback=traceback.format_exc(),
-        )
-    return _CellSuccess(
-        index=index,
-        scorecard=card,
-        telemetry=registry.snapshot(),
-        duration=wall_clock() - started,
-        worker=os.getpid(),
-        spans=None if profiler is None else profiler.to_dict(),
-    )
-
-
-def _heartbeat(
-    journal: Optional["CheckpointJournal"],
-    progress: ProgressListener,
-    event: CellEvent,
-) -> None:
-    """Deliver one heartbeat: render it and, when the campaign is
-    journaled, durably append it so a resumed run can report what the
-    dead run was doing. Heartbeats are additive observability — they
-    are never read back into scorecards, traces, or telemetry."""
-    if not progress.enabled:
-        return
-    progress.on_event(event)
-    if journal is not None:
-        journal.record_heartbeat(event.to_payload())
-
-
-class CampaignExecutor:
-    """Pluggable backend deciding *where* campaign cells run.
-
-    Contract: given specs in canonical order, return exactly one
-    scorecard per spec, in the same order, each equal to
-    ``run_campaign_cell(spec)``. Executors may change where cells run —
-    never what they compute or how results are ordered.
-    """
-
-    def run_cells(
-        self, specs: Sequence[CampaignCellSpec]
-    ) -> List[SasoScorecard]:
-        raise NotImplementedError
-
-
-class SerialExecutor(CampaignExecutor):
-    """In-process, one cell at a time — the determinism-by-default
-    path. Telemetry flows directly into the ambient registry.
-
-    With a ``checkpoint`` journal attached, every completed cell is
-    durably appended (scorecard + per-cell telemetry snapshot, fsynced)
-    before the next cell starts, cells already in the journal are not
-    re-run, and telemetry is folded into the ambient registry in
-    canonical cell order at the end — so a journaled run (fresh or
-    resumed) is byte-identical to a plain serial run.
-    """
-
-    def __init__(
-        self,
-        *,
-        checkpoint: Optional["CheckpointJournal"] = None,
-        progress: Optional[ProgressListener] = None,
-    ) -> None:
-        self._checkpoint = checkpoint
-        self._progress = (
-            progress if progress is not None else NULL_PROGRESS
-        )
-
-    def run_cells(
-        self, specs: Sequence[CampaignCellSpec]
-    ) -> List[SasoScorecard]:
-        journal = self._checkpoint
-        progress = self._progress
-        if journal is None and not progress.enabled:
-            return [run_campaign_cell(spec) for spec in specs]
-        specs = list(specs)
-        total = len(specs)
-        cards: Dict[int, SasoScorecard] = {}
-        snapshots: Dict[int, Dict[str, object]] = {}
-        cell_spans: Dict[int, Optional[Dict[str, object]]] = {}
-        if journal is not None:
-            for index, cell in journal.match(specs).items():
-                cards[index] = cell.scorecard
-                snapshots[index] = cell.telemetry
-                cell_spans[index] = cell.spans
-            for count, index in enumerate(sorted(cards), start=1):
-                _heartbeat(
-                    journal,
-                    progress,
-                    CellEvent(
-                        kind="resume",
-                        index=index,
-                        key=specs[index].key,
-                        completed=count,
-                        total=total,
-                    ),
-                )
-        profiler = active_profiler()
-        for index, spec in enumerate(specs):
-            if index in cards:
-                continue
-            _heartbeat(
-                journal,
-                progress,
-                CellEvent(
-                    kind="start",
-                    index=index,
-                    key=spec.key,
-                    completed=len(cards),
-                    total=total,
-                    worker=os.getpid(),
-                ),
-            )
-            started = wall_clock()
-            if journal is None:
-                # Progress-only serial run: telemetry and spans flow
-                # directly into the ambient sinks, as without progress.
-                card = run_campaign_cell(spec)
-                cards[index] = card
-            else:
-                # Meter into a private registry so the journal captures
-                # exactly this cell's telemetry; the ambient fold below
-                # reproduces direct metering (canonical order, counters
-                # and histograms accumulate, gauges last-write-wins).
-                # Spans get the same treatment: a private profiler per
-                # cell, folded back in canonical order (counts add, so
-                # the merged tree equals direct profiling).
-                registry = MetricsRegistry()
-                local: Optional[SpanProfiler] = (
-                    SpanProfiler() if profiler.enabled else None
-                )
-                with metering(registry):
-                    if local is not None:
-                        with profiling(local):
-                            card = run_campaign_cell(spec)
-                    else:
-                        card = run_campaign_cell(spec)
-                duration = wall_clock() - started
-                snapshot = registry.snapshot()
-                span_payload = (
-                    None if local is None else local.to_dict()
-                )
-                journal.record_cell(
-                    spec,
-                    card,
-                    snapshot,
-                    spans=span_payload,
-                    duration=duration,
-                    worker=os.getpid(),
-                )
-                cards[index] = card
-                snapshots[index] = snapshot
-                cell_spans[index] = span_payload
-            _heartbeat(
-                journal,
-                progress,
-                CellEvent(
-                    kind="done",
-                    index=index,
-                    key=spec.key,
-                    completed=len(cards),
-                    total=total,
-                    worker=os.getpid(),
-                    duration=wall_clock() - started,
-                ),
-            )
-        if journal is not None:
-            ambient = active_registry()
-            if ambient.enabled:
-                for index in sorted(snapshots):
-                    ambient.merge_snapshot(snapshots[index])
-            if profiler.enabled:
-                for index in sorted(cell_spans):
-                    profiler.merge(cell_spans[index])
-        return [cards[index] for index in range(len(specs))]
-
-
-class ParallelExecutor(CampaignExecutor):
-    """Process-pool cell execution with serial-identical results.
-
-    Cells are embarrassingly parallel (each builds its own simulator),
-    so the pool only changes wall-clock time: results are merged by
-    submission index, per-worker telemetry snapshots are folded into
-    the ambient registry in that same canonical order, and a failing
-    cell surfaces as :class:`~repro.errors.FaultInjectionError` naming
-    its ``(seed, campaign, controller)`` key with the child's traceback
-    attached — pending cells are cancelled rather than left hanging.
-
-    ``timeout`` bounds the wait for the *next* finished cell (mainly a
-    test guard against pool deadlocks); ``None`` waits indefinitely.
-
-    With a ``checkpoint`` journal attached, cells already in the
-    journal are skipped, every completed cell is durably appended the
-    moment its worker returns it, and the ambient telemetry fold stays
-    canonical — resumed and uninterrupted runs are byte-identical.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        *,
-        timeout: Optional[float] = None,
-        checkpoint: Optional["CheckpointJournal"] = None,
-        progress: Optional[ProgressListener] = None,
-    ) -> None:
-        if int(jobs) < 1:
-            raise FaultInjectionError(
-                f"parallel executor needs jobs >= 1, got {jobs}"
-            )
-        self._jobs = int(jobs)
-        self._timeout = timeout
-        self._checkpoint = checkpoint
-        self._progress = (
-            progress if progress is not None else NULL_PROGRESS
-        )
-
-    @property
-    def jobs(self) -> int:
-        return self._jobs
-
-    def run_cells(
-        self, specs: Sequence[CampaignCellSpec]
-    ) -> List[SasoScorecard]:
-        specs = list(specs)
-        if not specs:
-            return []
-        cards: Dict[int, SasoScorecard] = {}
-        snapshots: Dict[int, Dict[str, object]] = {}
-        cell_spans: Dict[int, Optional[Dict[str, object]]] = {}
-        journal = self._checkpoint
-        progress = self._progress
-        if journal is not None:
-            for index, cell in journal.match(specs).items():
-                cards[index] = cell.scorecard
-                snapshots[index] = cell.telemetry
-                cell_spans[index] = cell.spans
-            for count, index in enumerate(sorted(cards), start=1):
-                _heartbeat(
-                    journal,
-                    progress,
-                    CellEvent(
-                        kind="resume",
-                        index=index,
-                        key=specs[index].key,
-                        completed=count,
-                        total=len(specs),
-                    ),
-                )
-        missing = [
-            index for index in range(len(specs)) if index not in cards
-        ]
-        if missing:
-            self._run_missing(
-                specs, missing, cards, snapshots, cell_spans
-            )
-        registry = active_registry()
-        if registry.enabled:
-            # Canonical order: merging is commutative for counters and
-            # histograms, but gauges are last-write-wins, so the fold
-            # order must not depend on completion order.
-            for index in sorted(snapshots):
-                registry.merge_snapshot(snapshots[index])
-        profiler = active_profiler()
-        if profiler.enabled:
-            # Same canonical fold for span trees (counts simply add,
-            # so the merged tree matches a serial run's).
-            for index in sorted(cell_spans):
-                profiler.merge(cell_spans[index])
-        return [cards[index] for index in range(len(specs))]
-
-    def _run_missing(
-        self,
-        specs: Sequence[CampaignCellSpec],
-        missing: Sequence[int],
-        cards: Dict[int, SasoScorecard],
-        snapshots: Dict[int, Dict[str, object]],
-        cell_spans: Dict[int, Optional[Dict[str, object]]],
-    ) -> None:
-        journal = self._checkpoint
-        progress = self._progress
-        total = len(specs)
-        self._ensure_submittable(specs, missing)
-        workers = min(self._jobs, len(missing))
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers
-        )
-
-        def absorb(
-            future: "concurrent.futures.Future[object]",
-            spec: CampaignCellSpec,
-        ) -> None:
-            try:
-                outcome = future.result()
-            except Exception as error:
-                # Unpicklable specs and hard worker deaths
-                # (BrokenProcessPool) surface here.
-                raise FaultInjectionError(
-                    f"campaign cell {_cell_label(spec.key)} "
-                    f"died in a worker process: "
-                    f"{type(error).__name__}: {error}"
-                ) from error
-            if isinstance(outcome, _CellFailure):
-                raise FaultInjectionError(
-                    f"campaign cell {_cell_label(outcome.key)} "
-                    f"failed in a worker process: "
-                    f"{outcome.error}\n"
-                    f"--- worker traceback ---\n"
-                    f"{outcome.traceback.rstrip()}"
-                )
-            if journal is not None:
-                journal.record_cell(
-                    spec,
-                    outcome.scorecard,
-                    outcome.telemetry,
-                    spans=outcome.spans,
-                    duration=outcome.duration,
-                    worker=outcome.worker,
-                )
-            cards[outcome.index] = outcome.scorecard
-            snapshots[outcome.index] = outcome.telemetry
-            cell_spans[outcome.index] = outcome.spans
-            _heartbeat(
-                journal,
-                progress,
-                CellEvent(
-                    kind="done",
-                    index=outcome.index,
-                    key=spec.key,
-                    completed=len(cards),
-                    total=total,
-                    worker=outcome.worker,
-                    duration=outcome.duration,
-                ),
-            )
-
-        # Only the success path may block in shutdown: on interrupt or
-        # error, waiting for in-flight cells would hang the process and
-        # cancelling only *queued* futures (the old behaviour) leaked
-        # busy workers until they finished on their own.
-        graceful = False
-        try:
-            pending = {}
-            for index in missing:
-                pending[
-                    pool.submit(
-                        _execute_cell_in_worker, index, specs[index]
-                    )
-                ] = specs[index]
-                _heartbeat(
-                    journal,
-                    progress,
-                    CellEvent(
-                        kind="start",
-                        index=index,
-                        key=specs[index].key,
-                        completed=len(cards),
-                        total=total,
-                    ),
-                )
-            try:
-                if progress.enabled:
-                    self._drain_with_progress(pending, absorb)
-                else:
-                    for future in concurrent.futures.as_completed(
-                        pending, timeout=self._timeout
-                    ):
-                        absorb(future, pending.pop(future))
-            except concurrent.futures.TimeoutError:
-                waiting = ", ".join(
-                    sorted(
-                        _cell_label(spec.key)
-                        for spec in pending.values()
-                    )
-                )
-                raise FaultInjectionError(
-                    f"campaign cells still pending after "
-                    f"{self._timeout}s: {waiting}"
-                ) from None
-            graceful = True
-        finally:
-            pool.shutdown(wait=graceful, cancel_futures=True)
-
-    def _drain_with_progress(
-        self,
-        pending: Dict["concurrent.futures.Future[object]", CampaignCellSpec],
-        absorb: Callable[
-            ["concurrent.futures.Future[object]", CampaignCellSpec], None
-        ],
-    ) -> None:
-        """Completion loop that wakes up regularly so the progress
-        renderer can refresh ETAs and report stalls. Semantics match
-        the plain ``as_completed`` path: ``timeout`` still bounds the
-        total wait measured from drain start."""
-        deadline = (
-            None
-            if self._timeout is None
-            else wall_clock() + self._timeout
-        )
-        while pending:
-            done, _not_done = concurrent.futures.wait(
-                list(pending),
-                timeout=0.2,
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-            for future in done:
-                absorb(future, pending.pop(future))
-            self._progress.tick()
-            if (
-                not done
-                and deadline is not None
-                and wall_clock() > deadline
-            ):
-                raise concurrent.futures.TimeoutError()
-
-    @staticmethod
-    def _ensure_submittable(
-        specs: Sequence[CampaignCellSpec],
-        missing: Sequence[int],
-    ) -> None:
-        """Reject unpicklable controller factories *before* the pool
-        spins up — the construction-time mirror of ensure_valid_graph
-        (static counterpart: the REPRO2xx pickle-safety rules)."""
-        # Local import, same layering note as ensure_valid_graph in
-        # CampaignRunner: repro.analysis must stay importable without
-        # the faults stack.
-        from repro.analysis.parallel import ensure_parallel_safe
-        from repro.analysis.rules import AnalysisError
-
-        for index in missing:
-            spec = specs[index]
-            try:
-                ensure_parallel_safe(
-                    spec.controller_factory,
-                    context=(
-                        f"campaign cell {_cell_label(spec.key)} "
-                        "controller_factory"
-                    ),
-                )
-            except AnalysisError as error:
-                raise FaultInjectionError(str(error)) from error
-
-
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Resolve a worker count: explicit value, else ``$REPRO_JOBS``,
     else 1 (serial)."""
@@ -1250,19 +737,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return int(jobs)
 
 
-def make_executor(
-    jobs: Optional[int] = None,
-    *,
-    progress: Optional[ProgressListener] = None,
-) -> CampaignExecutor:
-    """:class:`SerialExecutor` for one job (the default), else a
-    :class:`ParallelExecutor` with ``jobs`` workers."""
-    count = resolve_jobs(jobs)
-    if count == 1:
-        return SerialExecutor(progress=progress)
-    return ParallelExecutor(count, progress=progress)
-
-
 class CampaignRunner:
     """Executes campaigns × controllers and returns scorecards.
 
@@ -1271,12 +745,11 @@ class CampaignRunner:
     controller) cell gets a fresh instance against a fresh simulator,
     so cells are fully independent and the whole matrix is replayable.
     Factories must be picklable (module-level functions or partials)
-    when a :class:`ParallelExecutor` is used.
+    when cells run on a process pool.
 
-    ``executor`` picks the backend cells run on (default
-    :class:`SerialExecutor`); ``scalable_operators`` optionally
-    overrides which operators the control loop may size (e.g. every
-    operator for Timely-style global scaling).
+    ``scalable_operators`` optionally overrides which operators the
+    control loop may size (e.g. every operator for Timely-style global
+    scaling).
     """
 
     def __init__(
@@ -1290,7 +763,6 @@ class CampaignRunner:
         engine_config: Optional[EngineConfig] = None,
         target_rates: Optional[Mapping[str, float]] = None,
         tail_seconds: float = 120.0,
-        executor: Optional[CampaignExecutor] = None,
         scalable_operators: Optional[Sequence[str]] = None,
     ) -> None:
         if not controllers:
@@ -1312,9 +784,6 @@ class CampaignRunner:
         self._interval = policy_interval
         self._engine_config = engine_config
         self._tail = tail_seconds
-        self._executor: CampaignExecutor = (
-            executor if executor is not None else SerialExecutor()
-        )
         self._scalable = (
             tuple(scalable_operators)
             if scalable_operators is not None
@@ -1398,16 +867,20 @@ class CampaignRunner:
         campaigns: Union[int, Sequence[int]],
         *,
         executor: Optional[CampaignExecutor] = None,
-    ) -> List[SasoScorecard]:
+    ) -> CampaignOutcome:
         """Run every controller under every sampled campaign.
 
         ``campaigns`` is a count (indices ``0..n-1``) or an explicit
-        sequence of campaign indices. Results are ordered campaign-
-        major, controller-minor (insertion order of the mapping),
-        regardless of which ``executor`` ran the cells or in what order
-        they finished.
+        sequence of campaign indices. ``executor`` decides where cells
+        run and what a failure costs (default: inline, fail fast).
+        Scorecards are ordered campaign-major, controller-minor
+        (insertion order of the mapping), regardless of where the
+        cells ran or in what order they finished; cells quarantined by
+        a retrying executor are absent and counted in the coverage.
         """
-        backend = executor if executor is not None else self._executor
+        # Local import: the executor module builds on this one.
+        from repro.faults.executor import CampaignExecutor
+
         if isinstance(campaigns, int):
             indices: Sequence[int] = range(campaigns)
         else:
@@ -1424,7 +897,8 @@ class CampaignRunner:
         # reason — use a traced single run (``repro run faults
         # --trace``) for event-level detail. Emission happens *after*
         # the executor returns, walking specs in canonical order, so
-        # the trace is byte-identical for serial and parallel backends.
+        # the trace is byte-identical whether cells ran inline or on a
+        # pool, fresh or resumed from a journal.
         tracer = active_tracer()
         cells = active_registry().counter(
             "repro_campaign_cells_total",
@@ -1440,24 +914,35 @@ class CampaignRunner:
                 controllers=sorted(self._controllers),
                 cells=total,
             )
-        scorecards = backend.run_cells(specs)
-        if len(scorecards) != total:
-            raise FaultInjectionError(
-                f"executor returned {len(scorecards)} scorecards "
-                f"for {total} cells"
-            )
-        for completed, (spec, card) in enumerate(
-            zip(specs, scorecards), start=1
-        ):
+        backend = executor if executor is not None else CampaignExecutor()
+        outcome = backend.execute(specs)
+        errors = {
+            cell.key: cell.error
+            for cell in outcome.coverage.quarantined_cells
+        }
+        for position, spec in enumerate(specs, start=1):
+            card = outcome.by_index.get(position - 1)
+            if card is None:
+                if tracer.enabled:
+                    tracer.emit(
+                        "campaign.quarantine",
+                        position * duration,
+                        profile=profile,
+                        campaign=spec.campaign,
+                        controller=spec.controller,
+                        cells=total,
+                        error=errors.get(spec.key, ""),
+                    )
+                continue
             cells.inc(profile=profile, controller=spec.controller)
             if tracer.enabled:
                 tracer.emit(
                     "campaign.cell",
-                    completed * duration,
+                    position * duration,
                     profile=profile,
                     campaign=spec.campaign,
                     controller=spec.controller,
-                    completed=completed,
+                    completed=position,
                     cells=total,
                     score=round(card.score, 6),
                     failed_rescales=card.failed_rescales,
@@ -1469,13 +954,12 @@ class CampaignRunner:
                 profile=profile,
                 cells=total,
             )
-        return scorecards
+        return outcome
 
 
 __all__ = [
     "AggregateScore",
     "CampaignCellSpec",
-    "CampaignExecutor",
     "CampaignGenerator",
     "CampaignProfile",
     "CampaignRunner",
@@ -1484,12 +968,9 @@ __all__ = [
     "FAULT_KINDS",
     "JOBS_ENV_VAR",
     "PROFILES",
-    "ParallelExecutor",
     "SCORE_WEIGHTS",
     "SasoScorecard",
-    "SerialExecutor",
     "aggregate_scorecards",
-    "make_executor",
     "resolve_jobs",
     "run_campaign_cell",
     "score_campaign_run",

@@ -2,9 +2,8 @@
 
 :func:`compile_grid` turns a :class:`~repro.sweeps.spec.SweepSpec`
 into a list of :class:`~repro.faults.campaigns.CampaignCellSpec` —
-the exact currency of :class:`~repro.faults.campaigns.CampaignExecutor`
-and :class:`~repro.faults.checkpoint.SupervisedExecutor`. Sweeps
-therefore inherit the whole campaign execution stack for free:
+the exact currency of :class:`~repro.faults.executor.CampaignExecutor`.
+Sweeps therefore inherit the whole campaign execution stack for free:
 ``--jobs N`` process pools with byte-identical merged results, retry +
 quarantine supervision, crash-safe checkpoint journals with resume,
 progress heartbeats, and span profiling.
@@ -25,7 +24,6 @@ cleanly across pool workers (the REPRO2xx rules' dynamic counterpart).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -52,15 +50,16 @@ from repro.faults.campaigns import (
     CampaignProfile,
     CampaignTargets,
     SasoScorecard,
-    make_executor,
-    resolve_jobs,
 )
 from repro.faults.checkpoint import (
-    CampaignCoverage,
-    CellRetryPolicy,
     CheckpointJournal,
     JournalHeader,
-    SupervisedExecutor,
+    open_journal,
+)
+from repro.faults.executor import (
+    CampaignCoverage,
+    CampaignExecutor,
+    CellRetryPolicy,
 )
 from repro.sweeps.spec import (
     SweepCell,
@@ -68,10 +67,7 @@ from repro.sweeps.spec import (
     expand_cells,
     sweep_label,
 )
-from repro.telemetry.progress import (
-    ProgressListener,
-    interrupted_cells,
-)
+from repro.telemetry.progress import ProgressListener
 from repro.workloads.wordcount import (
     COUNT,
     FLATMAP,
@@ -360,53 +356,34 @@ def run_sweep(
 ) -> SweepResult:
     """Run every cell of a sweep grid.
 
-    Without ``checkpoint``, cells run on the plain campaign executor
-    (serial for one job, a process pool otherwise) and any cell failure
-    aborts the sweep. With ``checkpoint``, the supervised crash-safe
-    path is used: completed cells are durably journaled the moment they
-    finish, failing cells are retried then quarantined, and a
-    hard-killed sweep resumes with ``resume=True`` producing
-    byte-identical output. Results are byte-identical across job
-    counts, backends, and fresh-vs-resumed runs.
+    Cells run inline for one job, on a process pool otherwise. Without
+    ``retry`` a cell failure aborts the sweep, except with a
+    ``checkpoint``, which defaults to
+    :class:`~repro.faults.executor.CellRetryPolicy`: failing cells are
+    retried then quarantined, and the result carries its coverage.
+    With ``checkpoint``, completed cells are durably journaled the
+    moment they finish and a hard-killed sweep resumes with
+    ``resume=True`` producing byte-identical output. Results are
+    byte-identical across job counts, backends, and fresh-vs-resumed
+    runs.
     """
     grid = compile_grid(spec)
-    if checkpoint is None:
-        if resume:
-            raise SweepError("resume requires a checkpoint path")
-        executor = make_executor(jobs, progress=progress)
-        cards = executor.run_cells(grid.specs)
-        return SweepResult(
-            grid=grid,
-            scorecards=dict(enumerate(cards)),
-        )
-    journal = CheckpointJournal.open(
-        checkpoint, grid.header, resume=resume
-    )
-    try:
-        for note in journal.warnings:
-            warnings.warn(note, RuntimeWarning, stacklevel=2)
-        if resume:
-            for note in interrupted_cells(journal.heartbeats):
-                warnings.warn(
-                    f"interrupted sweep was executing {note} when it "
-                    f"stopped",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        supervisor = SupervisedExecutor(
-            jobs=resolve_jobs(jobs),
+    if resume and checkpoint is None:
+        raise SweepError("resume requires a checkpoint path")
+    if retry is None and checkpoint is not None:
+        retry = CellRetryPolicy()
+    with open_journal(checkpoint, grid.header, resume=resume) as journal:
+        outcome = CampaignExecutor(
+            jobs=jobs,
             retry=retry,
             cell_timeout=cell_timeout,
             journal=journal,
             progress=progress,
-        )
-        outcome = supervisor.execute(grid.specs)
-    finally:
-        journal.close()
+        ).execute(grid.specs)
     return SweepResult(
         grid=grid,
         scorecards=dict(outcome.by_index),
-        coverage=outcome.coverage,
+        coverage=outcome.coverage if retry is not None else None,
         resumed=outcome.resumed,
     )
 

@@ -225,9 +225,20 @@ class TestRegistries:
             in WORKER_ENTRY_POINTS
         )
         assert (
-            "repro.faults.checkpoint.supervised_cell_attempt"
-            in WORKER_ENTRY_POINTS
+            "repro.faults.executor.execute_cell" in WORKER_ENTRY_POINTS
         )
+
+    def test_registered_qualnames_resolve(self):
+        """A stale entry (a worker body or sink renamed or deleted)
+        fails loudly instead of silently checking nothing."""
+        import importlib
+
+        for qualname in sorted(WORKER_ENTRY_POINTS | set(SINK_REGISTRY)):
+            module_name, _, name = qualname.rpartition(".")
+            module = importlib.import_module(module_name)
+            assert callable(getattr(module, name, None)), qualname
+        for module_name in sorted(EQUIVALENCE_SENSITIVE_MODULES):
+            importlib.import_module(module_name)
 
     def test_engine_modules_are_equivalence_sensitive(self):
         assert (
@@ -299,25 +310,25 @@ class TestRuntimeGuard:
 
 class TestProcessBoundaryHooks:
     def test_parallel_executor_rejects_lambda_factory(self):
-        from repro.faults.campaigns import ParallelExecutor
+        from repro.faults.executor import CampaignExecutor
         from repro.errors import FaultInjectionError
 
         spec = SimpleNamespace(
             key=(7, 0, "lam"), controller_factory=lambda: None
         )
         with pytest.raises(FaultInjectionError) as excinfo:
-            ParallelExecutor._ensure_submittable([spec], [0])
+            CampaignExecutor._ensure_submittable([spec], [0])
         message = str(excinfo.value)
         assert "controller='lam'" in message
         assert "[REPRO201]" in message
 
     def test_parallel_executor_accepts_module_factory(self):
-        from repro.faults.campaigns import ParallelExecutor
+        from repro.faults.executor import CampaignExecutor
 
         spec = SimpleNamespace(
             key=(7, 0, "ok"), controller_factory=_module_factory
         )
-        ParallelExecutor._ensure_submittable([spec], [0])
+        CampaignExecutor._ensure_submittable([spec], [0])
 
     def test_chaos_workload_rejects_lambda_factory(self):
         from repro.experiments.chaos import ChaosWorkload

@@ -1,9 +1,9 @@
 """Serial ↔ parallel equivalence suite for the campaign executor.
 
-The `ParallelExecutor` contract: running the same cell specs on a
-process pool produces scorecards *byte-identical* (asserted through a
-`SasoScorecard` dict round-trip and `repr`) to the in-process
-`SerialExecutor`, in the same canonical (campaign-major,
+The `CampaignExecutor` placement contract: running the same cell specs
+on a process pool (`jobs > 1`) produces scorecards *byte-identical*
+(asserted through a `SasoScorecard` dict round-trip and `repr`) to
+running them inline (`jobs=1`), in the same canonical (campaign-major,
 controller-minor) order, regardless of completion order. The suite also
 covers the failure paths — a controller factory that raises inside a
 child must surface the failing `(seed, campaign, controller)` cell with
@@ -28,12 +28,10 @@ from repro.faults.campaigns import (
     CampaignProfile,
     CampaignRunner,
     CampaignTargets,
-    ParallelExecutor,
-    SerialExecutor,
-    make_executor,
     resolve_jobs,
     run_campaign_cell,
 )
+from repro.faults.executor import CampaignExecutor
 from repro.workloads.wordcount import (
     COUNT,
     FLATMAP,
@@ -74,12 +72,16 @@ class TestSerialParallelEquivalence:
         """Fixed-seed golden cells: jobs=2 matches serial exactly."""
         runner = _runner()
         generator = _wordcount_generator(PROFILES["smoke"])
-        serial = runner.run(generator, 2, executor=SerialExecutor())
+        serial = runner.run(
+            generator, 2, executor=CampaignExecutor()
+        ).scorecards
         parallel = runner.run(
             generator,
             2,
-            executor=ParallelExecutor(2, timeout=POOL_TIMEOUT),
-        )
+            executor=CampaignExecutor(
+                jobs=2, pool_timeout=POOL_TIMEOUT
+            ),
+        ).scorecards
         _assert_equivalent(serial, parallel)
         # Canonical order is campaign-major, controller-minor.
         assert [(c.campaign, c.controller) for c in serial] == [
@@ -92,24 +94,32 @@ class TestSerialParallelEquivalence:
         """More workers than campaigns still merges canonically."""
         runner = _runner()
         generator = _wordcount_generator(PROFILES["smoke"], seed=7)
-        serial = runner.run(generator, 2, executor=SerialExecutor())
+        serial = runner.run(
+            generator, 2, executor=CampaignExecutor()
+        ).scorecards
         parallel = runner.run(
             generator,
             2,
-            executor=ParallelExecutor(3, timeout=POOL_TIMEOUT),
-        )
+            executor=CampaignExecutor(
+                jobs=3, pool_timeout=POOL_TIMEOUT
+            ),
+        ).scorecards
         _assert_equivalent(serial, parallel)
 
     @pytest.mark.slow
     def test_mixed_profile(self):
         runner = _runner(tick=2.0)
         generator = _wordcount_generator(PROFILES["mixed"])
-        serial = runner.run(generator, 2, executor=SerialExecutor())
+        serial = runner.run(
+            generator, 2, executor=CampaignExecutor()
+        ).scorecards
         parallel = runner.run(
             generator,
             2,
-            executor=ParallelExecutor(4, timeout=POOL_TIMEOUT),
-        )
+            executor=CampaignExecutor(
+                jobs=4, pool_timeout=POOL_TIMEOUT
+            ),
+        ).scorecards
         _assert_equivalent(serial, parallel)
 
     def test_nexmark_windowed_cell(self):
@@ -122,12 +132,16 @@ class TestSerialParallelEquivalence:
             ),
             seed=3,
         )
-        serial = runner.run(generator, 1, executor=SerialExecutor())
+        serial = runner.run(
+            generator, 1, executor=CampaignExecutor()
+        ).scorecards
         parallel = runner.run(
             generator,
             1,
-            executor=ParallelExecutor(2, timeout=POOL_TIMEOUT),
-        )
+            executor=CampaignExecutor(
+                jobs=2, pool_timeout=POOL_TIMEOUT
+            ),
+        ).scorecards
         _assert_equivalent(serial, parallel)
 
     @pytest.mark.slow
@@ -140,12 +154,16 @@ class TestSerialParallelEquivalence:
             ),
             seed=3,
         )
-        serial = runner.run(generator, 1, executor=SerialExecutor())
+        serial = runner.run(
+            generator, 1, executor=CampaignExecutor()
+        ).scorecards
         parallel = runner.run(
             generator,
             1,
-            executor=ParallelExecutor(2, timeout=POOL_TIMEOUT),
-        )
+            executor=CampaignExecutor(
+                jobs=2, pool_timeout=POOL_TIMEOUT
+            ),
+        ).scorecards
         _assert_equivalent(serial, parallel)
 
     @pytest.mark.slow
@@ -184,12 +202,16 @@ class TestSerialParallelEquivalence:
             policy_interval=HERON_POLICY_INTERVAL,
         )
         generator = _wordcount_generator(profile, seed=seed)
-        serial = runner.run(generator, 1, executor=SerialExecutor())
+        serial = runner.run(
+            generator, 1, executor=CampaignExecutor()
+        ).scorecards
         parallel = runner.run(
             generator,
             1,
-            executor=ParallelExecutor(2, timeout=POOL_TIMEOUT),
-        )
+            executor=CampaignExecutor(
+                jobs=2, pool_timeout=POOL_TIMEOUT
+            ),
+        ).scorecards
         _assert_equivalent(serial, parallel)
 
     def test_run_campaign_cell_matches_runner(self):
@@ -198,15 +220,17 @@ class TestSerialParallelEquivalence:
         generator = _wordcount_generator(PROFILES["smoke"])
         specs = runner.cell_specs(generator, 1)
         direct = [run_campaign_cell(spec) for spec in specs]
-        batch = runner.run(generator, 1, executor=SerialExecutor())
+        batch = runner.run(
+            generator, 1, executor=CampaignExecutor()
+        ).scorecards
         _assert_equivalent(direct, batch)
 
     def test_empty_batch(self):
         runner = _runner()
         generator = _wordcount_generator(PROFILES["smoke"])
         assert runner.run(
-            generator, 0, executor=ParallelExecutor(2)
-        ) == []
+            generator, 0, executor=CampaignExecutor(jobs=2)
+        ).scorecards == []
 
 
 def _exploding_controller():
@@ -232,7 +256,9 @@ class TestWorkerFailure:
             runner.run(
                 generator,
                 2,
-                executor=ParallelExecutor(2, timeout=POOL_TIMEOUT),
+                executor=CampaignExecutor(
+                    jobs=2, pool_timeout=POOL_TIMEOUT
+                ),
             )
         message = str(excinfo.value)
         # The failing (seed, campaign, controller) cell is named...
@@ -248,7 +274,7 @@ class TestWorkerFailure:
         runner = self._boom_runner()
         generator = _wordcount_generator(PROFILES["smoke"], seed=9)
         with pytest.raises(RuntimeError, match="kaboom-controller"):
-            runner.run(generator, 1, executor=SerialExecutor())
+            runner.run(generator, 1, executor=CampaignExecutor())
 
     def test_unpicklable_factory_names_cell(self):
         runner = CampaignRunner(
@@ -267,7 +293,9 @@ class TestWorkerFailure:
             runner.run(
                 generator,
                 1,
-                executor=ParallelExecutor(2, timeout=POOL_TIMEOUT),
+                executor=CampaignExecutor(
+                    jobs=2, pool_timeout=POOL_TIMEOUT
+                ),
             )
 
 
@@ -275,7 +303,7 @@ class TestJobsResolution:
     def test_parallel_executor_rejects_nonpositive_jobs(self):
         for jobs in (0, -1):
             with pytest.raises(FaultInjectionError, match="jobs"):
-                ParallelExecutor(jobs)
+                CampaignExecutor(jobs=jobs)
 
     def test_resolve_jobs_explicit(self):
         assert resolve_jobs(1) == 1
@@ -303,17 +331,16 @@ class TestJobsResolution:
         monkeypatch.setenv(JOBS_ENV_VAR, "8")
         assert resolve_jobs(2) == 2
 
-    def test_make_executor_picks_backend(self, monkeypatch):
+    def test_jobs_pick_placement(self, monkeypatch):
+        """One job runs inline, more use a pool of that size; only an
+        explicit ``jobs=None`` consults the environment."""
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-        assert isinstance(make_executor(), SerialExecutor)
-        assert isinstance(make_executor(1), SerialExecutor)
-        executor = make_executor(4)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.jobs == 4
+        assert CampaignExecutor().jobs == 1
+        assert CampaignExecutor(jobs=None).jobs == 1
+        assert CampaignExecutor(jobs=4).jobs == 4
         monkeypatch.setenv(JOBS_ENV_VAR, "2")
-        from_env = make_executor()
-        assert isinstance(from_env, ParallelExecutor)
-        assert from_env.jobs == 2
+        assert CampaignExecutor(jobs=None).jobs == 2
+        assert CampaignExecutor().jobs == 1
 
 
 class TestRateLessSourceRegression:

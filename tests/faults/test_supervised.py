@@ -1,7 +1,7 @@
 """Supervision suite: retry, quarantine, timeouts, interrupt/resume.
 
 The journal's durability contract lives in test_checkpoint.py; this
-file covers the supervising layer wrapped around it:
+file covers the executor's retry policy and signal handling around it:
 
 * bounded retry with capped exponential backoff (injected fake sleep
   asserts the exact wait sequence),
@@ -11,34 +11,35 @@ file covers the supervising layer wrapped around it:
 * per-cell SIGALRM wall-clock deadlines,
 * SIGTERM mid-campaign -> `CampaignInterrupted` naming the journal,
   then a resume that completes the batch with identical scorecards,
-* `run_supervised_campaign` emitting the same trace and scorecards as
-  the plain `CampaignRunner.run` path,
+* `CampaignRunner.run` under a retry policy emitting the same trace
+  and scorecards as the fail-fast path,
 * the chaos report's coverage annotation.
 """
 
 import dataclasses
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.errors import FaultInjectionError
 from repro.experiments.chaos import chaos_report, run_chaos
-from repro.faults.campaigns import (
-    SerialExecutor,
-    run_campaign_cell,
-)
-from repro.faults.checkpoint import (
+from repro.faults.campaigns import run_campaign_cell
+from repro.faults.checkpoint import CheckpointJournal
+from repro.faults.executor import (
+    CampaignExecutor,
     CampaignInterrupted,
     CellRetryPolicy,
-    CheckpointJournal,
-    SupervisedExecutor,
-    run_supervised_campaign,
 )
+from repro.telemetry.progress import ProgressListener
 from repro.telemetry.tracer import Tracer, tracing
 from tests.faults.test_checkpoint import (
+    CLI_ARGS,
     HEADER,
+    _cli_env,
     _generator,
     _runner,
     _specs,
@@ -94,6 +95,25 @@ class _TerminateAt:
         return run_campaign_cell(spec)
 
 
+class _TerminateOnFirstStart(ProgressListener):
+    """Deliver SIGTERM to ourselves when the first cell is submitted."""
+
+    def __init__(self):
+        self.sent = False
+
+    def on_event(self, event):
+        if event.kind != "start" or self.sent:
+            return
+        self.sent = True
+        # Without an executor-installed handler, SIGTERM would kill
+        # the test process instead of failing the test.
+        assert signal.getsignal(signal.SIGTERM) not in (
+            signal.SIG_DFL,
+            None,
+        ), "no SIGTERM handler installed around the campaign"
+        os.kill(os.getpid(), signal.SIGTERM)
+
+
 class TestRetryPolicy:
     def test_backoff_sequence_is_capped_exponential(self):
         policy = CellRetryPolicy()
@@ -125,9 +145,9 @@ class TestRetryPolicy:
 
     def test_executor_rejects_bad_limits(self):
         with pytest.raises(FaultInjectionError, match="jobs"):
-            SupervisedExecutor(jobs=0)
+            CampaignExecutor(jobs=0)
         with pytest.raises(FaultInjectionError, match="cell_timeout"):
-            SupervisedExecutor(cell_timeout=0.0)
+            CampaignExecutor(cell_timeout=0.0)
 
 
 class TestRetryAndQuarantine:
@@ -135,8 +155,8 @@ class TestRetryAndQuarantine:
         specs = _specs(campaigns=1)
         flaky = _Flaky({specs[0].key: 2})
         sleeps = []
-        supervisor = SupervisedExecutor(
-            runner=flaky, sleep=sleeps.append
+        supervisor = CampaignExecutor(
+            retry=CellRetryPolicy(), runner=flaky, sleep=sleeps.append
         )
         outcome = supervisor.execute(specs)
         assert outcome.coverage.complete
@@ -144,12 +164,12 @@ class TestRetryAndQuarantine:
         assert flaky.attempts[specs[0].key] == 3
         # Retries re-run the same deterministic cell, so the batch
         # still matches an unsupervised run exactly.
-        assert outcome.scorecards == SerialExecutor().run_cells(specs)
+        assert outcome.scorecards == CampaignExecutor().run_cells(specs)
 
     def test_poison_cell_quarantined_serially(self):
         specs = _specs(campaigns=1)
         sleeps = []
-        supervisor = SupervisedExecutor(
+        supervisor = CampaignExecutor(
             runner=_fail_dhalion,
             retry=CellRetryPolicy(max_attempts=2),
             sleep=sleeps.append,
@@ -168,11 +188,11 @@ class TestRetryAndQuarantine:
         # One backoff between the two rounds, none after the last.
         assert sleeps == [0.25]
         good = [s for s in specs if s.controller != "dhalion"]
-        assert outcome.scorecards == SerialExecutor().run_cells(good)
+        assert outcome.scorecards == CampaignExecutor().run_cells(good)
 
     def test_run_cells_contract_turns_quarantine_into_error(self):
         specs = _specs(campaigns=1)
-        supervisor = SupervisedExecutor(
+        supervisor = CampaignExecutor(
             runner=_fail_dhalion,
             retry=CellRetryPolicy(max_attempts=1),
             sleep=lambda _: None,
@@ -184,7 +204,7 @@ class TestRetryAndQuarantine:
 
     def test_poison_cell_quarantined_on_pool(self):
         specs = _specs(campaigns=1)
-        supervisor = SupervisedExecutor(
+        supervisor = CampaignExecutor(
             jobs=2,
             runner=_fail_dhalion,
             retry=CellRetryPolicy(max_attempts=2),
@@ -198,13 +218,13 @@ class TestRetryAndQuarantine:
         assert cell.attempts == 2
         assert "ValueError: injected poison" in cell.error
         good = [s for s in specs if s.controller != "dhalion"]
-        assert outcome.scorecards == SerialExecutor().run_cells(good)
+        assert outcome.scorecards == CampaignExecutor().run_cells(good)
 
 
 class TestCellTimeout:
     def test_over_budget_cell_is_a_failed_attempt(self):
         specs = _specs(campaigns=1)[:1]
-        supervisor = SupervisedExecutor(
+        supervisor = CampaignExecutor(
             runner=_sleep_forever,
             retry=CellRetryPolicy(max_attempts=1),
             cell_timeout=0.2,
@@ -216,6 +236,20 @@ class TestCellTimeout:
         (cell,) = outcome.coverage.quarantined_cells
         assert cell.error == "cell exceeded its 0.2s timeout"
 
+    def test_timeout_applies_without_checkpoint(self):
+        """Fail fast: an over-budget cell aborts an un-checkpointed
+        run, naming the cell."""
+        with pytest.raises(FaultInjectionError) as caught:
+            run_chaos(
+                profile="smoke",
+                campaigns=1,
+                include_recovery=False,
+                cell_timeout=0.001,
+            )
+        message = str(caught.value)
+        assert "(seed=1, campaign=0, controller='ds2')" in message
+        assert "exceeded its 0.001s timeout" in message
+
 
 class TestInterruptAndResume:
     def test_sigterm_drains_then_resume_completes(self, tmp_path):
@@ -223,8 +257,10 @@ class TestInterruptAndResume:
         specs = _specs(campaigns=2)
         assert len(specs) == 6
         with CheckpointJournal.open(path, HEADER) as journal:
-            supervisor = SupervisedExecutor(
-                runner=_TerminateAt(specs[3].key), journal=journal
+            supervisor = CampaignExecutor(
+                retry=CellRetryPolicy(),
+                runner=_TerminateAt(specs[3].key),
+                journal=journal,
             )
             with pytest.raises(CampaignInterrupted) as caught:
                 supervisor.execute(specs)
@@ -237,22 +273,67 @@ class TestInterruptAndResume:
         with CheckpointJournal.open(
             path, HEADER, resume=True
         ) as journal:
-            outcome = SupervisedExecutor(journal=journal).execute(
-                specs
-            )
+            outcome = CampaignExecutor(
+                retry=CellRetryPolicy(), journal=journal
+            ).execute(specs)
         assert outcome.resumed == 3
         assert outcome.coverage.complete
-        assert outcome.scorecards == SerialExecutor().run_cells(specs)
+        assert outcome.scorecards == CampaignExecutor().run_cells(specs)
 
     def test_interrupt_without_journal_says_cells_are_lost(self):
         specs = _specs(campaigns=1)
-        supervisor = SupervisedExecutor(
-            runner=_TerminateAt(specs[1].key)
+        supervisor = CampaignExecutor(
+            retry=CellRetryPolicy(), runner=_TerminateAt(specs[1].key)
         )
         with pytest.raises(CampaignInterrupted) as caught:
             supervisor.execute(specs)
         assert caught.value.path is None
         assert "no checkpoint" in str(caught.value)
+
+    def test_sigterm_without_checkpoint_on_pool(self):
+        with pytest.raises(CampaignInterrupted) as caught:
+            run_chaos(
+                profile="smoke",
+                campaigns=1,
+                tick=2.0,
+                include_recovery=False,
+                jobs=2,
+                progress=_TerminateOnFirstStart(),
+            )
+        assert caught.value.path is None
+        assert caught.value.cells == 3
+        assert "no checkpoint" in str(caught.value)
+
+    def test_cli_sigterm_without_checkpoint_exits_130(self):
+        # Own session, so pool workers orphaned by a failing run can be
+        # reaped with the whole group.
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro"]
+            + CLI_ARGS
+            + ["--jobs", "2", "--progress"],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_cli_env(),
+            start_new_session=True,
+        )
+        try:
+            # The first heartbeat proves the campaign is running.
+            line = process.stderr.readline()
+            while line and " start " not in line:
+                line = process.stderr.readline()
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=POOL_TIMEOUT) == 130
+            stderr = process.stderr.read()
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait(timeout=60)
+            process.stderr.close()
+        assert "no checkpoint" in stderr
+        assert "resume with" not in stderr
 
 
 class TestSupervisedCampaignDriver:
@@ -260,11 +341,13 @@ class TestSupervisedCampaignDriver:
         runner = _runner()
         plain_tracer = Tracer()
         with tracing(plain_tracer):
-            plain = runner.run(_generator(), 2)
+            plain = runner.run(_generator(), 2).scorecards
         supervised_tracer = Tracer()
         with tracing(supervised_tracer):
-            outcome = run_supervised_campaign(
-                runner, _generator(), 2, SupervisedExecutor()
+            outcome = runner.run(
+                _generator(),
+                2,
+                executor=CampaignExecutor(retry=CellRetryPolicy()),
             )
         assert outcome.scorecards == plain
         assert outcome.coverage.complete
@@ -275,11 +358,10 @@ class TestSupervisedCampaignDriver:
     def test_quarantine_traced_instead_of_aborting(self):
         tracer = Tracer()
         with tracing(tracer):
-            outcome = run_supervised_campaign(
-                _runner(),
+            outcome = _runner().run(
                 _generator(),
                 1,
-                SupervisedExecutor(
+                executor=CampaignExecutor(
                     runner=_fail_dhalion,
                     retry=CellRetryPolicy(max_attempts=1),
                     sleep=lambda _: None,
@@ -330,7 +412,7 @@ class TestChaosReportCoverage:
 
 
 def _quarantined_stub():
-    from repro.faults.checkpoint import QuarantinedCell
+    from repro.faults.executor import QuarantinedCell
 
     return QuarantinedCell(
         key=(1, 0, "dhalion"),

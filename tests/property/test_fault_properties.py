@@ -214,8 +214,8 @@ class TestCampaignScorecardDeterminism:
         generator = CampaignGenerator(
             PROFILES["smoke"], CampaignTargets.from_graph(graph), seed=9
         )
-        first = runner.run(generator, 2)
-        second = runner.run(generator, 2)
+        first = runner.run(generator, 2).scorecards
+        second = runner.run(generator, 2).scorecards
         assert first == second
         assert [card.controller for card in first] == ["ds2", "ds2"]
         assert [card.campaign for card in first] == [0, 1]

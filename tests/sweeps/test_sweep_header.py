@@ -18,9 +18,9 @@ from repro.faults.campaigns import (
     PROFILES,
     CampaignGenerator,
     CampaignTargets,
-    SerialExecutor,
 )
 from repro.faults.checkpoint import CheckpointJournal, JournalHeader
+from repro.faults.executor import CampaignExecutor
 from repro.sweeps import SweepSpec, run_sweep, sweep_label
 from repro.telemetry.reports import (
     build_report,
@@ -61,7 +61,7 @@ def _chaos_journal(path):
         ),
     )
     with CheckpointJournal.open(path, header) as journal:
-        SerialExecutor(checkpoint=journal).run_cells(specs)
+        CampaignExecutor(journal=journal).run_cells(specs)
     return specs
 
 

@@ -3,8 +3,8 @@ detection.
 
 Renderers are driven through StringIO streams with an injectable
 clock, so ETA and stall behavior are deterministic. Executor-level
-emission is covered against the real SerialExecutor/ParallelExecutor
-(heartbeats must flow on the existing result channel without touching
+emission is covered against the real CampaignExecutor, inline and on a
+process pool (heartbeats must flow on the existing result channel without touching
 stdout), and the journaled-heartbeat round trip against a real
 checkpoint file.
 """
@@ -17,14 +17,13 @@ from repro.faults.campaigns import (
     PROFILES,
     CampaignGenerator,
     CampaignTargets,
-    ParallelExecutor,
-    SerialExecutor,
 )
 from repro.faults.checkpoint import (
     CheckpointJournal,
     JournalHeader,
     load_journal,
 )
+from repro.faults.executor import CampaignExecutor
 from repro.telemetry.progress import (
     NULL_PROGRESS,
     CellEvent,
@@ -227,13 +226,15 @@ def _run_smoke(executor, campaigns=1):
     from repro.experiments.chaos import resolve_workload
 
     runner = resolve_workload("wordcount").runner(2.0)
-    return runner.run(_smoke_generator(), campaigns, executor=executor)
+    return runner.run(
+        _smoke_generator(), campaigns, executor=executor
+    ).scorecards
 
 
 class TestExecutorHeartbeats:
     def test_serial_emits_start_done_pairs(self):
         recorder = _Recorder()
-        cards = _run_smoke(SerialExecutor(progress=recorder))
+        cards = _run_smoke(CampaignExecutor(progress=recorder))
         kinds = [event.kind for event in recorder.events]
         assert kinds == ["start", "done"] * len(cards)
         done = [e for e in recorder.events if e.kind == "done"]
@@ -244,8 +245,8 @@ class TestExecutorHeartbeats:
     def test_parallel_emits_heartbeats_for_every_cell(self):
         recorder = _Recorder()
         cards = _run_smoke(
-            ParallelExecutor(
-                jobs=2, timeout=180.0, progress=recorder
+            CampaignExecutor(
+                jobs=2, pool_timeout=180.0, progress=recorder
             )
         )
         starts = [e for e in recorder.events if e.kind == "start"]
@@ -255,8 +256,8 @@ class TestExecutorHeartbeats:
         assert all(e.worker is not None for e in done)
 
     def test_progress_does_not_change_scorecards(self):
-        silent = _run_smoke(SerialExecutor())
-        noisy = _run_smoke(SerialExecutor(progress=_Recorder()))
+        silent = _run_smoke(CampaignExecutor())
+        noisy = _run_smoke(CampaignExecutor(progress=_Recorder()))
         assert repr(silent) == repr(noisy)
 
 
@@ -292,7 +293,7 @@ class TestJournaledHeartbeats:
         journal = CheckpointJournal.open(path, _header())
         recorder = _Recorder()
         cards = _run_smoke(
-            SerialExecutor(checkpoint=journal, progress=recorder)
+            CampaignExecutor(journal=journal, progress=recorder)
         )
         journal.close()
         loaded = load_journal(path)
@@ -302,6 +303,6 @@ class TestJournaledHeartbeats:
     def test_no_heartbeats_without_progress(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         journal = CheckpointJournal.open(path, _header())
-        _run_smoke(SerialExecutor(checkpoint=journal))
+        _run_smoke(CampaignExecutor(journal=journal))
         journal.close()
         assert load_journal(path).heartbeats == []
