@@ -4,15 +4,7 @@ Not a paper figure: these benchmarks measure how fast the substrate
 simulates virtual time, which bounds how cheaply the experiment suite
 can be re-run. Unlike the experiment benchmarks (deterministic one-shot
 runs), these use proper multi-round timing.
-
-``test_vector_backend_speedup_q5`` is the acceptance gate for the
-struct-of-arrays engine backend: the ``vector`` backend must simulate
-the wide Nexmark Q5 cell at >= 5x the ticks/second of the ``object``
-backend (see ``docs/performance.md`` and the committed scaling table in
-``benchmarks/output/engine_speedup.txt``).
 """
-
-import time
 
 from repro.dataflow.physical import PhysicalPlan
 from repro.engine.runtimes import FlinkRuntime, TimelyRuntime
@@ -73,63 +65,6 @@ def test_engine_throughput_timely(benchmark):
     )
     sim.run_for(5.0)
     benchmark(sim.run_for, 5.0)
-
-
-def _q5_wide_simulator(backend: str) -> Simulator:
-    """The speedup benchmark cell: Q5 with 256 slots (the windowed
-    hot_items operator takes nearly all of them), record latency
-    tracking on — the same cell profiled by scripts/profile_tick.py."""
-    query = get_query("Q5")
-    graph = query.flink_graph()
-    parallelism = query.initial_parallelism(graph, 256)
-    plan = PhysicalPlan(
-        graph,
-        parallelism,
-        max_parallelism=max(parallelism.values()) + 8,
-    )
-    return Simulator(
-        plan,
-        FlinkRuntime(),
-        EngineConfig(tick=0.25, track_record_latency=True),
-        backend=backend,
-    )
-
-
-def _ticks_per_second(sim: Simulator, ticks: int) -> float:
-    start = time.perf_counter()  # repro: allow[REPRO101] — benchmark measures wall clock
-    for _ in range(ticks):
-        sim.step()
-    return ticks / (time.perf_counter() - start)  # repro: allow[REPRO101]
-
-
-def test_vector_backend_speedup_q5():
-    """The vector backend is >= 5x faster on the wide Q5 cell.
-
-    Manual perf_counter timing rather than the benchmark fixture: the
-    assertion is about the *ratio* between two backends measured on the
-    same machine in the same process, which pytest-benchmark's
-    per-function rounds cannot express. The committed scaling table
-    (benchmarks/output/engine_speedup.txt) measures ~7-8x at this cell;
-    5x leaves headroom for loaded CI machines.
-    """
-    object_sim = _q5_wide_simulator("object")
-    vector_sim = _q5_wide_simulator("vector")
-    # Warm both past the startup transient (queues filling up).
-    object_sim.run_for(5.0)
-    vector_sim.run_for(5.0)
-    # Interleave two measurement rounds per backend so a load spike
-    # hits both rather than biasing one.
-    object_tps = []
-    vector_tps = []
-    for _ in range(2):
-        object_tps.append(_ticks_per_second(object_sim, 150))
-        vector_tps.append(_ticks_per_second(vector_sim, 150))
-    speedup = max(vector_tps) / max(object_tps)
-    assert speedup >= 5.0, (
-        f"vector backend speedup {speedup:.2f}x below the 5x bar "
-        f"(object {max(object_tps):.0f} t/s, "
-        f"vector {max(vector_tps):.0f} t/s)"
-    )
 
 
 def test_policy_evaluation_speed(benchmark):

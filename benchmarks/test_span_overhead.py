@@ -1,8 +1,8 @@
 """Overhead of the span profiler (ISSUE 9 acceptance criterion).
 
-Two claims, both measured on the wide Nexmark Q5 cell under the
-``vector`` engine backend (the fastest stepping path, hence the most
-sensitive to per-tick instrumentation):
+Two claims, both measured on the wide Nexmark Q5 cell (the cheapest
+ticks per instance, hence the most sensitive to per-tick
+instrumentation):
 
 * stepping with an active ``SpanProfiler`` stays within 5% of stepping
   with spans disabled — the enter/exit bookkeeping on ``engine.tick``
@@ -20,11 +20,8 @@ shared machine.
 
 import time
 
-import pytest
-
 from benchmarks._util import emit
 from repro.dataflow.physical import PhysicalPlan
-from repro.engine.npcompat import HAVE_NUMPY
 from repro.engine.runtimes import FlinkRuntime
 from repro.engine.simulator import EngineConfig, Simulator
 from repro.telemetry.spans import SpanProfiler, profiling
@@ -35,13 +32,8 @@ TICKS = 150
 ENABLED_TOLERANCE = 0.05
 DISABLED_TOLERANCE = 0.01
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vector backend requires numpy"
-)
-
-
 def build_simulator() -> Simulator:
-    """The wide Q5 vector cell from the engine speedup benchmark."""
+    """The wide Q5 cell profiled by scripts/profile_tick.py."""
     query = get_query("Q5")
     graph = query.flink_graph()
     parallelism = query.initial_parallelism(graph, 256)
@@ -54,7 +46,6 @@ def build_simulator() -> Simulator:
         plan,
         FlinkRuntime(),
         EngineConfig(tick=0.25, track_record_latency=True),
-        backend="vector",
     )
 
 
@@ -95,8 +86,8 @@ def test_span_overhead_within_tolerance():
         "span_overhead",
         "\n".join(
             [
-                "Span profiler overhead (wide Nexmark Q5, vector "
-                f"backend, {TICKS} ticks, best of {REPEATS})",
+                "Span profiler overhead (wide Nexmark Q5, "
+                f"{TICKS} ticks, best of {REPEATS})",
                 f"  baseline: {best_baseline * 1000:.1f} ms",
                 f"  disabled: {best_disabled * 1000:.1f} ms "
                 f"({disabled_overhead:+.1%}, "

@@ -34,17 +34,14 @@
 #                      render byte-identical JSON to the committed
 #                      golden sensitivity artifact; plus the sweep
 #                      SIGKILL-and-resume equivalence tests
-#  11. pytest        - tier-1 test suite
-#  12. pytest (REPRO_ENGINE=vector)
-#                    - the same tier-1 suite on the struct-of-arrays
-#                      engine backend; passing both proves the golden
-#                      trace / scorecard byte-identity oracle holds for
-#                      both backends (skipped if numpy is missing)
+#  11. pytest        - tier-1 test suite, including the engine's
+#                      frozen reference outputs
+#                      (tests/engine/test_vector_equivalence.py)
 #
 # ruff and mypy are optional dev dependencies (`pip install -e .[lint]`).
 # When they are missing the stage is skipped with a notice rather than
 # failing, so the gate is usable in minimal containers; the in-tree
-# stages (3-10) have no third-party dependencies and always run.
+# stages (3-11) need only the package dependency (numpy) and always run.
 
 set -u
 
@@ -168,19 +165,8 @@ run_stage "sweep kill-and-resume equivalence (smoke)" \
 
 if [ "$FAST" -eq 1 ]; then
     skip_stage "pytest" "--fast"
-    skip_stage "pytest (REPRO_ENGINE=vector)" "--fast"
 else
     run_stage "pytest" python -m pytest -x -q
-    # The decision oracle for the vector engine backend: the whole
-    # tier-1 suite — including the golden trace and chaos scorecard
-    # byte-identity tests — must pass with the struct-of-arrays
-    # engine selected for every Simulator.
-    if python -c "import numpy" >/dev/null 2>&1; then
-        run_stage "pytest (REPRO_ENGINE=vector)" \
-            env REPRO_ENGINE=vector python -m pytest -x -q
-    else
-        skip_stage "pytest (REPRO_ENGINE=vector)" "numpy not installed"
-    fi
 fi
 
 if [ "$FAILURES" -ne 0 ]; then

@@ -1,26 +1,24 @@
 #!/usr/bin/env python
-"""Profile the simulator tick loop and measure backend speedup.
+"""Profile the simulator tick loop.
 
-Produces the two committed performance artifacts that back
-``docs/performance.md``:
+Produces the committed performance artifact that backs
+``docs/performance.md``: ``benchmarks/output/profile_tick.txt`` holds
 
-* ``benchmarks/output/profile_tick.txt`` — cProfile hot-function
-  tables for the ``object`` and ``vector`` engine backends on the
-  Nexmark Q5 benchmark cell, so regressions show up as a changed
+* cProfile hot-function tables on a wide cell (Nexmark Q5 with 256
+  slots, nearly all of them on the windowed operator) and a narrow one
+  (the Flink wordcount job at two instances per operator, the shape
+  chaos campaigns and sweeps run), so regressions show up as a changed
   ranking rather than a vague slowdown;
-* ``benchmarks/output/engine_speedup.txt`` — ticks/second for both
-  backends across a parallelism sweep, demonstrating where the
-  struct-of-arrays backend's advantage comes from (the object
-  backend's per-instance Python work scales with parallelism, the
-  vector backend's is near-flat).
+* ticks/second on Q5 across a parallelism sweep, showing how the
+  per-tick cost grows with the instance count.
 
 Usage::
 
     PYTHONPATH=src python scripts/profile_tick.py [--quick]
 
 ``--quick`` shortens the measured windows (~5x faster, noisier
-numbers) for local iteration; the committed artifacts are produced by
-a full run. The simulation itself is deterministic virtual time — only
+numbers) for local iteration; the committed artifact is produced by a
+full run. The simulation itself is deterministic virtual time — only
 the wall-clock timings vary between runs.
 """
 
@@ -29,34 +27,38 @@ from __future__ import annotations
 import argparse
 import cProfile
 import io
+import os
 import pathlib
 import pstats
+import re
 import sys
 import time
-from typing import List, Tuple
+from typing import Callable, List
 
 from repro.dataflow.physical import PhysicalPlan
 from repro.engine.runtimes import FlinkRuntime
 from repro.engine.simulator import EngineConfig, Simulator
-from repro.engine.vectorized import BACKENDS
 from repro.workloads.nexmark import get_query
+from repro.workloads.wordcount import flink_wordcount_graph
 
 OUTPUT_DIR = pathlib.Path(__file__).resolve().parent.parent / (
     "benchmarks/output"
 )
 
-#: Parallelism sweep for the scaling table (total slots handed to
+#: Parallelism sweep for the throughput table (total slots handed to
 #: ``initial_parallelism``; Q5 gives them to the windowed operator).
 SWEEP = (32, 64, 128, 256, 512)
 
-#: The benchmark cell asserted by
-#: ``benchmarks/test_engine_performance.py`` (>= 5x).
-BENCH_SLOTS = 256
+#: The wide profiled cell.
+WIDE_SLOTS = 256
+
+#: Directory prefix of installed modules (stdlib and site-packages).
+INSTALL_PREFIX = re.compile(r"/\S*/(?:site-packages|lib/python[0-9.]+)/")
 
 
-def build_simulator(backend: str, slots: int) -> Simulator:
-    """The Q5 benchmark cell: Flink runtime, sliding window, record
-    latency tracking on (the most instrumented configuration)."""
+def wide_simulator(slots: int = WIDE_SLOTS) -> Simulator:
+    """The Q5 cell: Flink runtime, sliding window, record latency
+    tracking on (the most instrumented configuration)."""
     query = get_query("Q5")
     graph = query.flink_graph()
     parallelism = query.initial_parallelism(graph, slots)
@@ -69,15 +71,24 @@ def build_simulator(backend: str, slots: int) -> Simulator:
         plan,
         FlinkRuntime(),
         EngineConfig(tick=0.25, track_record_latency=True),
-        backend=backend,
     )
 
 
-def measure_ticks_per_second(
-    backend: str, slots: int, seconds: float
-) -> float:
+def narrow_simulator() -> Simulator:
+    """The wordcount job at two instances per operator."""
+    graph = flink_wordcount_graph()
+    plan = PhysicalPlan(
+        graph, {name: 2 for name in graph.names}, max_parallelism=8
+    )
+    return Simulator(
+        plan,
+        FlinkRuntime(),
+        EngineConfig(tick=0.25, track_record_latency=True),
+    )
+
+
+def measure_ticks_per_second(sim: Simulator, seconds: float) -> float:
     """Steady-state wall-clock ticks/second after a warm-up."""
-    sim = build_simulator(backend, slots)
     sim.run_for(5.0)
     ticks = 0
     start = time.perf_counter()  # repro: allow[REPRO101] — profiler measures wall clock
@@ -87,9 +98,9 @@ def measure_ticks_per_second(
     return ticks / (time.perf_counter() - start)  # repro: allow[REPRO101]
 
 
-def profile_backend(backend: str, slots: int, virtual: float) -> str:
+def profile_cell(build: Callable[[], Simulator], virtual: float) -> str:
     """cProfile hot-function table for ``virtual`` simulated seconds."""
-    sim = build_simulator(backend, slots)
+    sim = build()
     sim.run_for(5.0)
     profiler = cProfile.Profile()
     profiler.enable()
@@ -98,36 +109,22 @@ def profile_backend(backend: str, slots: int, virtual: float) -> str:
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("tottime").print_stats(20)
-    # Drop the absolute-path preamble; keep the table.
-    lines = stream.getvalue().splitlines()
-    table = [
-        line.replace(str(pathlib.Path.cwd()) + "/", "")
-        for line in lines
+    # Keep the table with paths relative to the repository or to the
+    # Python installation, so the artifact names no local directory.
+    root = str(pathlib.Path(__file__).resolve().parent.parent) + os.sep
+    return "\n".join(
+        INSTALL_PREFIX.sub("", line.replace(root, ""))
+        for line in stream.getvalue().splitlines()
         if line.strip()
-    ]
-    return "\n".join(table)
-
-
-def scaling_table(seconds: float) -> Tuple[str, float]:
-    """Sweep the parallelism grid; returns the formatted table and the
-    speedup measured at the asserted benchmark cell."""
-    rows: List[str] = []
-    rows.append(
-        f"{'slots':>6} {'object t/s':>12} {'vector t/s':>12} "
-        f"{'speedup':>8}"
     )
-    bench_speedup = 0.0
+
+
+def throughput_table(seconds: float) -> str:
+    rows: List[str] = [f"{'slots':>6} {'ticks/s':>10}"]
     for slots in SWEEP:
-        object_tps = measure_ticks_per_second("object", slots, seconds)
-        vector_tps = measure_ticks_per_second("vector", slots, seconds)
-        speedup = vector_tps / object_tps
-        if slots == BENCH_SLOTS:
-            bench_speedup = speedup
-        rows.append(
-            f"{slots:>6} {object_tps:>12.0f} {vector_tps:>12.0f} "
-            f"{speedup:>7.2f}x"
-        )
-    return "\n".join(rows), bench_speedup
+        tps = measure_ticks_per_second(wide_simulator(slots), seconds)
+        rows.append(f"{slots:>6} {tps:>10.0f}")
+    return "\n".join(rows)
 
 
 def main(argv: List[str]) -> int:
@@ -142,40 +139,27 @@ def main(argv: List[str]) -> int:
     virtual = 20.0 if args.quick else 100.0
 
     OUTPUT_DIR.mkdir(exist_ok=True)
-
     sections = []
-    for backend in BACKENDS:
-        print(f"profiling {backend} backend ...", flush=True)
-        table = profile_backend(backend, BENCH_SLOTS, virtual)
+    for label, build in (
+        (f"nexmark-q5 slots={WIDE_SLOTS}", wide_simulator),
+        ("wordcount p=2", narrow_simulator),
+    ):
+        print(f"profiling {label} ...", flush=True)
         sections.append(
-            f"== cProfile: backend={backend} nexmark-q5 "
-            f"slots={BENCH_SLOTS} ({virtual:.0f}s virtual) ==\n{table}"
+            f"== cProfile: {label} ({virtual:.0f}s virtual) ==\n"
+            + profile_cell(build, virtual)
         )
-    profile_text = "\n\n".join(sections)
-    (OUTPUT_DIR / "profile_tick.txt").write_text(profile_text + "\n")
-    print(profile_text)
-
-    print("measuring scaling table ...", flush=True)
-    table, bench_speedup = scaling_table(seconds)
-    header = (
-        "Engine backend throughput, Nexmark Q5 (Flink runtime, "
-        "tick=0.25s,\nrecord latency tracking on). slots = total "
-        "instances requested from\ninitial_parallelism; Q5 assigns "
-        "them to the windowed hot_items operator.\n"
+    print("measuring throughput ...", flush=True)
+    sections.append(
+        "== Throughput, Nexmark Q5 (Flink runtime, tick=0.25s, record "
+        "latency\ntracking on). slots = total instances requested from "
+        "initial_parallelism;\nQ5 assigns them to the windowed hot_items "
+        f"operator. {os.cpu_count()} cores. ==\n"
+        + throughput_table(seconds)
     )
-    speedup_text = (
-        header
-        + "\n"
-        + table
-        + "\n\n"
-        + f"benchmark cell: slots={BENCH_SLOTS}, "
-        f"speedup={bench_speedup:.2f}x (asserted >= 5x by\n"
-        "benchmarks/test_engine_performance.py::"
-        "test_vector_backend_speedup_q5)"
-    )
-    (OUTPUT_DIR / "engine_speedup.txt").write_text(speedup_text + "\n")
-    print()
-    print(speedup_text)
+    text = "\n\n".join(sections)
+    (OUTPUT_DIR / "profile_tick.txt").write_text(text + "\n")
+    print(text)
     return 0
 
 

@@ -213,7 +213,8 @@ PAIRWISE_REDUCTION = PARALLEL_RULES.register(Rule(
     rationale=(
         "numpy reductions use pairwise blocking and fsum uses exact "
         "compensation — both produce different bits than the "
-        "sequential left-to-right sum the object backend performs"
+        "sequential left-to-right sum the engine's outputs are "
+        "frozen on"
     ),
     family=REDUCTION_ORDER,
 ))
@@ -1120,7 +1121,7 @@ class _ReductionVisitor(ast.NodeVisitor):
                 PAIRWISE_REDUCTION, node,
                 "math.fsum() compensates exactly and produces "
                 "different bits than the sequential left-to-right "
-                "sum the object backend performs",
+                "sum the engine's outputs are frozen on",
             )
         elif (
             isinstance(node.func, ast.Attribute)

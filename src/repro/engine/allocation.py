@@ -18,8 +18,18 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
-from repro.engine.npcompat import HAVE_NUMPY, FloatArray, np
+import numpy as np
+import numpy.typing as npt
+
 from repro.errors import EngineError
+
+#: A float64 array: one value per operator instance.
+FloatArray = npt.NDArray[np.float64]
+
+
+#: Below this many demands the batch water-fill runs the scalar loop:
+#: per-call numpy overhead outweighs the array arithmetic.
+SCALAR_BELOW = 16
 
 
 def fair_allocate(total: float, desires: Sequence[float]) -> List[float]:
@@ -34,9 +44,24 @@ def fair_allocate(total: float, desires: Sequence[float]) -> List[float]:
     """
     if total < 0:
         raise EngineError("total must be >= 0")
-    desires = [max(0.0, d) for d in desires]
-    if math.isinf(total) or total >= sum(desires):
-        return list(desires)
+    clamped = [max(0.0, d) for d in desires]
+    if math.isinf(total) or total >= _sequential_sum(clamped):
+        return clamped
+    return _water_fill(total, clamped)
+
+
+def _sequential_sum(values: List[float]) -> float:
+    """Left-to-right sum (``np.sum`` blocks pairwise and ``math.fsum``
+    compensates; neither gives these bits)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _water_fill(total: float, desires: List[float]) -> List[float]:
+    """The water-filling rounds of :func:`fair_allocate` over
+    non-negative ``desires`` that together exceed ``total``."""
     allocation = [0.0] * len(desires)
     remaining = total
     active = [i for i, d in enumerate(desires) if d > 0]
@@ -72,21 +97,21 @@ def fair_allocate_batch(total: float, desires: FloatArray) -> FloatArray:
     computes the same per-index ``grant = min(share, want)`` (an exact
     element-wise operation), applies it in the same index order, and
     drains ``remaining`` with the same left-to-right sequence of
-    subtractions. The scalar and batch implementations are cross-checked
-    by a hypothesis property in ``tests/engine/test_allocation.py``.
+    subtractions. Fewer than :data:`SCALAR_BELOW` demands run the
+    scalar rounds directly. The scalar and batch implementations are
+    cross-checked by a hypothesis property in
+    ``tests/engine/test_allocation.py``.
     """
-    if not HAVE_NUMPY:
-        raise EngineError("fair_allocate_batch requires numpy")
     if total < 0:
         raise EngineError("total must be >= 0")
-    clamped = np.maximum(0.0, np.asarray(desires, dtype=np.float64))
-    # Sequential left-to-right sum, matching builtin sum() in the
-    # scalar implementation bit for bit (np.sum pairwise-blocks).
-    total_desire = 0.0
-    for value in clamped.tolist():
-        total_desire += value
-    if math.isinf(total) or total >= total_desire:
+    clamped = np.maximum(0.0, desires, dtype=np.float64)
+    if math.isinf(total):
         return clamped
+    values = clamped.tolist()
+    if total >= _sequential_sum(values):
+        return clamped
+    if len(values) < SCALAR_BELOW:
+        return np.array(_water_fill(float(total), values))
     allocation = np.zeros_like(clamped)
     remaining = float(total)
     active = np.flatnonzero(clamped > 0)
@@ -109,4 +134,4 @@ def fair_allocate_batch(total: float, desires: FloatArray) -> FloatArray:
     return allocation
 
 
-__all__ = ["fair_allocate", "fair_allocate_batch"]
+__all__ = ["FloatArray", "fair_allocate", "fair_allocate_batch"]

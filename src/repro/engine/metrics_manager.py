@@ -26,22 +26,22 @@ row per registered instance and columns ``[pulled, pushed, useful,
 waiting, observed]``. The row order is the registration order —
 :meth:`~repro.dataflow.physical.PhysicalPlan.all_instances`, i.e.
 topological operator order with instance indexes ascending — so each
-operator owns one contiguous row block and the vectorized engine backend
-can accumulate a whole operator per tick with :meth:`record_block`. The
-scalar :meth:`record` API is unchanged and works on row views, and a
-pure-Python list-of-rows fallback keeps the manager usable without
-numpy.
+operator owns one contiguous row block, and the engine accumulates a
+whole tick of the plan with one :meth:`record_block` call. The scalar
+:meth:`record` API works on row views.
 """
 
-# repro: equivalence-sensitive — object and vector accumulation paths must
-# agree bit for bit (REPRO4xx rules enforce sequential reductions here).
+# repro: equivalence-sensitive — scalar and block accumulation must agree
+# bit for bit (REPRO4xx rules enforce sequential reductions here).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.dataflow.physical import InstanceId
-from repro.engine.npcompat import HAVE_NUMPY, FloatArray, np
+from repro.engine.allocation import FloatArray
 from repro.errors import MetricsError
 from repro.metrics import InstanceCounters, MetricsWindow, OperatorHealth
 from repro.telemetry.spans import SpanProfiler, active_profiler
@@ -65,22 +65,14 @@ class MetricsManager:
         self._now = start_time
         self._outage_time = 0.0
         # Struct-of-arrays accumulator: row per instance, columns
-        # [pulled, pushed, useful, waiting, observed]. An (n, 5)
-        # float64 ndarray when numpy is available, else a list of
-        # per-row float lists with the same indexing.
+        # [pulled, pushed, useful, waiting, observed].
         self._ids: Tuple[InstanceId, ...] = ()
         self._index: Dict[InstanceId, int] = {}
-        self._acc: Any = self._zeros(0)
+        self._acc: FloatArray = np.zeros((0, 5), dtype=np.float64)
         # Instances whose reports are currently withheld (dropout).
         self._suppressed: Set[InstanceId] = set()
         # Whether in-flight counters were discarded this window.
         self._truncated = False
-
-    @staticmethod
-    def _zeros(rows: int) -> Any:
-        if HAVE_NUMPY:
-            return np.zeros((rows, 5), dtype=np.float64)
-        return [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in range(rows)]
 
     @property
     def window_start(self) -> float:
@@ -124,15 +116,13 @@ class MetricsManager:
         self._index = {iid: row for row, iid in enumerate(self._ids)}
         if len(self._index) != len(self._ids):
             raise MetricsError("duplicate instances in registration")
-        self._acc = self._zeros(len(self._ids))
+        self._acc = np.zeros((len(self._ids), 5), dtype=np.float64)
         # Suppressions name instances of the previous deployment; the
         # injector (or caller) re-applies them against the new set.
         self._suppressed.clear()
 
     def _any_observed(self) -> bool:
-        if HAVE_NUMPY:
-            return bool((self._acc[:, _OBSERVED] > 0).any())
-        return any(row[_OBSERVED] > 0 for row in self._acc)
+        return bool((self._acc[:, _OBSERVED] > 0).any())
 
     def set_suppressed(self, instances: Iterable[InstanceId]) -> None:
         """Mark instances whose reports are withheld from collections
@@ -176,32 +166,22 @@ class MetricsManager:
     ) -> None:
         """Accumulate one tick's activity for the contiguous row block
         ``[start, stop)`` — the batched :meth:`record` used by the
-        vectorized engine backend, one call per operator per tick.
+        engine, one call per tick.
 
         Each array holds one value per instance of the block, in row
         order. Because float64 element-wise addition is exact (IEEE),
         the accumulated totals are bit-identical to ``stop - start``
         scalar :meth:`record` calls.
         """
-        if not HAVE_NUMPY:
-            raise MetricsError("record_block requires numpy")
         if not 0 <= start <= stop <= len(self._ids):
             raise MetricsError(
                 f"row block [{start}, {stop}) outside the registered "
                 f"set of {len(self._ids)} instances"
             )
-        if (
-            float(pulled.min(initial=0.0)) < 0
-            or float(pushed.min(initial=0.0)) < 0
-            or float(useful.min(initial=0.0)) < 0
-            or float(waiting.min(initial=0.0)) < 0
-        ):
+        counters = np.array((pulled, pushed, useful, waiting))
+        if np.minimum.reduce(counters, axis=None, initial=0.0) < 0:
             raise MetricsError("counters must be >= 0")
-        block = self._acc[start:stop]
-        block[:, _PULLED] += pulled
-        block[:, _PUSHED] += pushed
-        block[:, _USEFUL] += useful
-        block[:, _WAITING] += waiting
+        self._acc[start:stop, _PULLED:_WAITING + 1] += counters.T
 
     def advance(self, dt: float, outage: bool = False) -> None:
         """Advance observed time by one tick for every instance."""
@@ -210,11 +190,7 @@ class MetricsManager:
         self._now += dt
         if outage:
             self._outage_time += dt
-        if HAVE_NUMPY:
-            self._acc[:, _OBSERVED] += dt
-        else:
-            for row in self._acc:
-                row[_OBSERVED] += dt
+        self._acc[:, _OBSERVED] += dt
 
     def completeness(self) -> Dict[str, float]:
         """Fraction of registered instances currently reporting, per
@@ -281,10 +257,7 @@ class MetricsManager:
                 if iid in self._suppressed:
                     continue
                 row = self._acc[row_index]
-                if HAVE_NUMPY:
-                    pulled, pushed, useful, waiting, observed = row.tolist()
-                else:
-                    pulled, pushed, useful, waiting, observed = row
+                pulled, pushed, useful, waiting, observed = row.tolist()
                 # Clamp float accumulation drift so that Wu <= W holds.
                 useful = min(useful, observed)
                 instances[iid] = InstanceCounters(

@@ -19,12 +19,14 @@ operator instances and moves data:
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.dataflow.operators import OperatorSpec
 from repro.dataflow.physical import InstanceId, PhysicalPlan
 from repro.dataflow.state import SavepointModel
-from repro.engine.npcompat import HAVE_NUMPY, FloatArray, np
+from repro.engine.allocation import FloatArray
 from repro.engine.recovery import (
     ContainerRestartRecovery,
     PeerSyncRecovery,
@@ -86,15 +88,13 @@ class Runtime(abc.ABC):
         """Batched :meth:`budgets`: per-operator demand arrays in, one
         float64 budget array per operator out (index = instance index).
 
-        The struct-of-arrays engine backend calls this instead of the
+        The engine calls this instead of the
         per-:class:`InstanceId` API so the hot path never materializes
         instance-id dictionaries. The default implementation adapts
         through :meth:`budgets`, so custom runtimes stay compatible;
         the built-in runtimes override it with a genuinely batched
         computation that is bit-identical to the scalar one.
         """
-        if not HAVE_NUMPY:
-            raise EngineError("budgets_batch requires numpy")
         iid_demands: Dict[InstanceId, float] = {}
         for name in plan.graph.topological_order():
             for index, value in enumerate(demands[name].tolist()):
@@ -167,6 +167,16 @@ class FlinkRuntime(Runtime):
         self.cores = cores
         self._savepoint = savepoint or SavepointModel()
         self._recovery = recovery
+        # (plan, (dt, cores), budgets) of the last batched call: the
+        # budgets depend on nothing else, so ticks reuse read-only
+        # arrays.
+        self._batch_budgets: Optional[
+            Tuple[
+                PhysicalPlan,
+                Tuple[float, Optional[int]],
+                Dict[str, FloatArray],
+            ]
+        ] = None
 
     def queue_capacity(
         self, spec: OperatorSpec, parallelism: int
@@ -194,19 +204,25 @@ class FlinkRuntime(Runtime):
         demands: Mapping[str, FloatArray],
         dt: float,
     ) -> Dict[str, FloatArray]:
-        if not HAVE_NUMPY:
-            raise EngineError("budgets_batch requires numpy")
+        key = (dt, self.cores)
+        cached = self._batch_budgets
+        if cached is not None and cached[0] is plan and cached[1] == key:
+            return dict(cached[2])
         total = plan.total_instances
         share = 1.0
         if self.cores is not None and total > self.cores:
             share = self.cores / total
         value = dt * share
-        return {
+        budgets = {
             name: np.full(
                 plan.parallelism_of(name), value, dtype=np.float64
             )
             for name in plan.graph.topological_order()
         }
+        for array in budgets.values():
+            array.flags.writeable = False
+        self._batch_budgets = (plan, key, budgets)
+        return dict(budgets)
 
     def savepoint_model(self) -> SavepointModel:
         return self._savepoint
@@ -335,8 +351,6 @@ class TimelyRuntime(Runtime):
         demands: Mapping[str, FloatArray],
         dt: float,
     ) -> Dict[str, FloatArray]:
-        if not HAVE_NUMPY:
-            raise EngineError("budgets_batch requires numpy")
         workers = self.validate_plan(plan)
         order = plan.graph.topological_order()
         demand_lists = {name: demands[name].tolist() for name in order}

@@ -22,30 +22,30 @@ sources last. Draining downstream queues first lets freed buffer space
 propagate upstream within the same tick (backpressure releases quickly),
 while emitted records land in queues that have already been processed
 and are consumed on the next tick (one tick of pipeline delay per hop).
+
+The per-instance state and work live in
+:class:`~repro.engine.vectorized.VectorEngine` (struct-of-arrays); this
+module keeps the orchestration: tick order, outages, reconfiguration,
+telemetry, and the observations handed to controllers.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.graphcheck import ensure_valid_graph
 from repro.dataflow.graph import LogicalGraph
-from repro.dataflow.operators import OperatorSpec
-from repro.dataflow.physical import InstanceId, PhysicalPlan
+from repro.dataflow.physical import PhysicalPlan
 from repro.dataflow.state import StateModel
-from repro.dataflow.windowing import WindowState
-from repro.engine.allocation import fair_allocate
-from repro.engine.buffers import Queue
 from repro.engine.latency import (
     EpochLatencyTracker,
     RecordLatencyTracker,
 )
 from repro.engine.metrics_manager import MetricsManager
 from repro.engine.runtimes import Runtime
-from repro.engine.vectorized import VectorEngine, resolve_backend
+from repro.engine.vectorized import VectorEngine, _Instance
 from repro.errors import EngineError, ReconfigurationError
 from repro.metrics import MetricsWindow, OperatorHealth
 from repro.telemetry.registry import (
@@ -114,58 +114,6 @@ class EngineConfig:
             raise EngineError("trace_tick_every must be >= 1")
 
 
-@dataclass
-class _Instance:
-    """Mutable runtime state of one operator instance.
-
-    Input records arrive through per-port queues, one per upstream
-    operator — as with Flink's per-channel network buffers, a flooding
-    input fills its own buffers and backpressures its own producer
-    without crowding out the other inputs of a join. Sources have no
-    ports.
-    """
-
-    iid: InstanceId
-    spec: OperatorSpec
-    ports: Dict[str, Queue]
-    window: Optional[WindowState] = None
-    fire_backlog: float = 0.0
-
-    @property
-    def total_queue_length(self) -> float:
-        """Records queued across all input ports."""
-        return sum(queue.length for queue in self.ports.values())
-
-    @property
-    def max_fill_fraction(self) -> float:
-        """Worst port occupancy (0 for unbounded/portless)."""
-        if not self.ports:
-            return 0.0
-        return max(queue.fill_fraction for queue in self.ports.values())
-
-    @property
-    def pending_records(self) -> float:
-        extra = self.fire_backlog
-        if self.window is not None:
-            extra += self.window.buffered
-        return self.total_queue_length + extra
-
-    def pop_records(self, amount: float) -> float:
-        """Remove up to ``amount`` records, drawing from each port in
-        proportion to its backlog (the scheduler polls all inputs);
-        returns the amount actually removed."""
-        total = self.total_queue_length
-        if amount <= 0 or total <= 0:
-            return 0.0
-        if amount >= total:
-            return sum(queue.drain() for queue in self.ports.values())
-        popped = 0.0
-        for queue in self.ports.values():
-            share = amount * (queue.length / total)
-            popped += queue.pop(share)
-        return popped
-
-
 @dataclass(frozen=True)
 class TickStats:
     """Per-tick observations surfaced to experiment harnesses."""
@@ -189,19 +137,11 @@ class Simulator:
         config: Optional[EngineConfig] = None,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
-        backend: Optional[str] = None,
     ) -> None:
         """``tracer``/``registry`` default to the ambient ones (see
         :func:`repro.telemetry.tracing` /
         :func:`repro.telemetry.metering`) — no-ops unless a caller
-        activated telemetry.
-
-        ``backend`` selects the tick-loop implementation: ``"object"``
-        (per-instance Python objects, the default) or ``"vector"``
-        (struct-of-arrays numpy hot path, bit-identical decisions —
-        see :mod:`repro.engine.vectorized`). When omitted, the
-        ``REPRO_ENGINE`` environment variable decides, defaulting to
-        ``object``."""
+        activated telemetry."""
         self._plan = plan
         self._graph: LogicalGraph = plan.graph
         # Fail before the first tick, with every problem reported at
@@ -253,11 +193,7 @@ class Simulator:
             "Virtual seconds spent in crash recovery",
         ).labels(runtime=runtime_label)
         self._state = StateModel(graph=self._graph)
-        self._backend = resolve_backend(backend)
-        self._vec: Optional[VectorEngine] = (
-            VectorEngine(self) if self._backend == "vector" else None
-        )
-        self._obj_instances: Dict[str, List[_Instance]] = {}
+        self._engine = VectorEngine(self)
         self._source_backlog: Dict[str, float] = {
             name: 0.0 for name in self._graph.sources()
         }
@@ -377,22 +313,11 @@ class Simulator:
         return self._state
 
     @property
-    def backend(self) -> str:
-        """The active tick-loop backend, ``"object"`` or ``"vector"``."""
-        return self._backend
-
-    @property
     def _instances(self) -> Dict[str, List[_Instance]]:
-        """Per-operator instance objects.
-
-        Under the object backend this is the live simulation state;
-        under the vector backend it is a read-only materialization of
-        the struct-of-arrays state (mutations do not flow back). Kept
-        for tests and debugging tools that inspect per-port queues.
-        """
-        if self._vec is not None:
-            return self._vec.materialize_instances()
-        return self._obj_instances
+        """Per-operator instance snapshots: a read-only materialization
+        of the struct-of-arrays state (mutations do not flow back), for
+        tests and debugging tools that inspect per-port queues."""
+        return self._engine.materialize_instances()
 
     def source_target_rates(self) -> Dict[str, float]:
         """Target (schedule) rate of each source at the current time —
@@ -414,25 +339,13 @@ class Simulator:
 
     def total_queued_records(self) -> float:
         """Records queued anywhere inside the dataflow."""
-        if self._vec is not None:
-            return self._vec.total_queued()
-        return sum(
-            inst.pending_records
-            for instances in self._obj_instances.values()
-            for inst in instances
-        )
+        return self._engine.total_queued()
 
     def queue_length(self, operator: str) -> float:
         """Total records queued at an operator (all instances)."""
-        if self._vec is not None:
-            if not self._vec.has_operator(operator):
-                raise EngineError(f"unknown operator {operator!r}")
-            return self._vec.queue_length(operator)
-        if operator not in self._obj_instances:
+        if not self._engine.has_operator(operator):
             raise EngineError(f"unknown operator {operator!r}")
-        return sum(
-            i.pending_records for i in self._obj_instances[operator]
-        )
+        return self._engine.queue_length(operator)
 
     def pending_records(self, operator: Optional[str] = None) -> float:
         """Records pending inside the dataflow: queued at the ports
@@ -446,14 +359,9 @@ class Simulator:
     def max_fill_fraction(self, operator: str) -> float:
         """Worst input-buffer occupancy across the operator's
         instances, in [0, 1] (0 for unbounded or portless queues)."""
-        if self._vec is not None:
-            if not self._vec.has_operator(operator):
-                raise EngineError(f"unknown operator {operator!r}")
-            return self._vec.max_fill(operator)
-        if operator not in self._obj_instances:
+        if not self._engine.has_operator(operator):
             raise EngineError(f"unknown operator {operator!r}")
-        instances = self._obj_instances[operator]
-        return max(inst.max_fill_fraction for inst in instances)
+        return self._engine.max_fill(operator)
 
     def utilization(self, operator: str) -> float:
         """Useful-time fraction of the operator since the last metrics
@@ -463,18 +371,7 @@ class Simulator:
     def backpressured_operators(self) -> Tuple[str, ...]:
         """Operators whose queues crossed the runtime's backpressure
         threshold (the coarse signal Dhalion-style controllers use)."""
-        if self._vec is not None:
-            return self._vec.backpressured()
-        result: List[str] = []
-        threshold = self._runtime.backpressure_threshold
-        for name, instances in self._obj_instances.items():
-            if any(
-                queue.bounded and queue.fill_fraction >= threshold
-                for inst in instances
-                for queue in inst.ports.values()
-            ):
-                result.append(name)
-        return tuple(result)
+        return self._engine.backpressured()
 
     # ------------------------------------------------------------------
     # Metrics
@@ -489,6 +386,7 @@ class Simulator:
             source_rates[name] = emitted / duration if duration > 0 else 0.0
         health: Dict[str, OperatorHealth] = {}
         backpressured = set(self.backpressured_operators())
+        pending = self._engine.pending_by_operator()
         for name in self._graph.topological_order():
             bp_fraction = (
                 min(1.0, self._window_bp_seconds[name] / duration)
@@ -498,7 +396,7 @@ class Simulator:
             health[name] = OperatorHealth(
                 queue_fill=self.max_fill_fraction(name),
                 backpressure=name in backpressured,
-                pending_records=self.queue_length(name),
+                pending_records=pending[name],
                 backpressure_fraction=bp_fraction,
             )
         window = self._metrics.collect(
@@ -668,53 +566,7 @@ class Simulator:
     def _deploy(self, plan: PhysicalPlan) -> None:
         """(Re)build instance state for ``plan``, preserving in-flight
         records and window buffers from the previous deployment."""
-        if self._vec is not None:
-            self._vec.deploy(plan)
-            self._plan = plan
-            self._metrics.register_instances(plan.all_instances())
-            return
-        carried_ports: Dict[str, Dict[str, float]] = {}
-        carried_window: Dict[str, Tuple[float, float]] = {}
-        for name, instances in self._obj_instances.items():
-            per_port: Dict[str, float] = {}
-            for inst in instances:
-                for port, queue in inst.ports.items():
-                    per_port[port] = per_port.get(port, 0.0) + queue.length
-            carried_ports[name] = per_port
-            buffered = sum(
-                i.window.buffered for i in instances if i.window is not None
-            )
-            backlog = sum(i.fire_backlog for i in instances)
-            carried_window[name] = (buffered, backlog)
-        self._obj_instances = {}
-        for name in self._graph.topological_order():
-            spec = self._graph.operator(name)
-            parallelism = plan.parallelism_of(name)
-            capacity = self._runtime.queue_capacity(spec, parallelism)
-            weights = plan.input_weights(name)
-            ports = self._graph.upstream(name)
-            queued_by_port = carried_ports.get(name, {})
-            buffered, backlog = carried_window.get(name, (0.0, 0.0))
-            instances: List[_Instance] = []
-            for index in range(parallelism):
-                instance = _Instance(
-                    iid=InstanceId(name, index),
-                    spec=spec,
-                    ports={
-                        port: Queue(capacity=capacity) for port in ports
-                    },
-                )
-                if spec.window is not None:
-                    instance.window = WindowState(spec=spec.window)
-                    instance.window.reset(self._time)
-                    instance.window.buffered = buffered * weights[index]
-                for port in ports:
-                    instance.ports[port].force_push(
-                        queued_by_port.get(port, 0.0) * weights[index]
-                    )
-                instance.fire_backlog = backlog * weights[index]
-                instances.append(instance)
-            self._obj_instances[name] = instances
+        self._engine.deploy(plan)
         self._plan = plan
         self._metrics.register_instances(plan.all_instances())
 
@@ -736,31 +588,6 @@ class Simulator:
             self._jitter[name] = 1.0 + self._rng.uniform(
                 -amplitude, amplitude
             )
-
-    def _unit_cost(self, spec: OperatorSpec, parallelism: int) -> float:
-        """Per-record useful-time cost for regular (non-window)
-        processing, including coordination overhead, rate limits,
-        instrumentation overhead, and this tick's cost noise."""
-        cost = spec.costs.effective_cost(parallelism)
-        if spec.rate_limit is not None:
-            cost = max(cost, 1.0 / spec.rate_limit)
-        return cost * self._cost_multiplier() * self._jitter[spec.name]
-
-    def _window_costs(
-        self, spec: OperatorSpec, parallelism: int
-    ) -> Tuple[float, float]:
-        """(assign_cost_per_input_record, fire_cost_per_buffered_record)
-        for a window operator."""
-        window = spec.window
-        assert window is not None
-        coordination = 1.0 + spec.costs.coordination_alpha * (parallelism - 1)
-        multiplier = coordination * self._cost_multiplier()
-        multiplier *= self._jitter[spec.name]
-        assign = (
-            spec.costs.base_cost + window.replication * window.assign_cost
-        ) * multiplier
-        fire = window.fire_cost * multiplier
-        return assign, fire
 
     # ------------------------------------------------------------------
     # Simulation
@@ -839,359 +666,56 @@ class Simulator:
             source_emitted={name: 0.0 for name in desired},
             source_desired=desired,
             sink_consumed={name: 0.0 for name in self._graph.sinks()},
-            queue_lengths={
-                name: self.queue_length(name) for name in self._graph.names
-            },
-            backpressured=self.backpressured_operators(),
+            queue_lengths=self._queue_lengths(),
+            backpressured=self._engine.backpressured(),
             in_outage=True,
         )
 
     def _active_tick(self, dt: float) -> TickStats:
-        order = self._graph.topological_order()
         self._refresh_jitter()
-        vec = self._vec
+        engine = self._engine
         profiled = self._profiler.enabled
         if profiled:
             self._profiler.enter("engine.allocate")
         try:
-            if vec is None:
-                budgets = self._runtime.budgets(
-                    self._plan, self._estimate_demands(dt), dt
-                )
-            else:
-                batch_budgets = self._runtime.budgets_batch(
-                    self._plan, vec.estimate_demands(dt), dt
-                )
+            budgets = self._runtime.budgets_batch(
+                self._plan, engine.estimate_demands(dt), dt
+            )
         finally:
             if profiled:
                 self._profiler.exit("engine.allocate")
-        source_emitted: Dict[str, float] = {}
-        source_desired: Dict[str, float] = {}
-        sink_consumed: Dict[str, float] = {
-            name: 0.0 for name in self._graph.sinks()
-        }
-        end_time = self._time + dt
-        for name in reversed(order):
-            spec = self._graph.operator(name)
-            if spec.is_source:
-                if vec is None:
-                    emitted, desired = self._run_source(
-                        name,
-                        spec,
-                        self._obj_instances[name],
-                        budgets,
-                        dt,
-                    )
-                else:
-                    emitted, desired = vec.run_source(
-                        name, spec, batch_budgets[name], dt
-                    )
-                source_emitted[name] = emitted
-                source_desired[name] = desired
-                self._window_source_emitted[name] += emitted
-            else:
-                if vec is None:
-                    consumed = self._run_operator(
-                        name,
-                        spec,
-                        self._obj_instances[name],
-                        budgets,
-                        dt,
-                        end_time,
-                    )
-                else:
-                    consumed = vec.run_operator(
-                        name, spec, batch_budgets[name], dt, end_time
-                    )
-                if spec.is_sink:
-                    sink_consumed[name] = consumed
+        source_emitted, source_desired, consumed = engine.run_tick(
+            budgets, dt, self._time + dt
+        )
+        for name, emitted in source_emitted.items():
+            self._window_source_emitted[name] += emitted
+        sink_consumed = {name: consumed[name] for name in self._graph.sinks()}
         self._observe_latency(dt, source_emitted, sink_consumed)
-        for name in self.backpressured_operators():
+        backpressured = engine.backpressured()
+        for name in backpressured:
             self._window_bp_seconds[name] += dt
         self._metrics.advance(dt)
         self._tick_count += 1
         self._time = self._tick_count * dt
         if self._config.check_invariants:
-            self._check_invariants()
+            engine.check_invariants()
         return TickStats(
             time=self._time,
             source_emitted=source_emitted,
             source_desired=source_desired,
             sink_consumed=sink_consumed,
-            queue_lengths={
-                name: self.queue_length(name) for name in self._graph.names
-            },
-            backpressured=self.backpressured_operators(),
+            queue_lengths=self._queue_lengths(),
+            backpressured=backpressured,
             in_outage=False,
         )
 
-    def _estimate_demands(self, dt: float) -> Dict[InstanceId, float]:
-        """Seconds of pending work per instance (for shared-worker
-        budget allocation)."""
-        demands: Dict[InstanceId, float] = {}
-        for name, instances in self._obj_instances.items():
-            spec = self._graph.operator(name)
-            parallelism = len(instances)
-            if spec.is_source:
-                schedule = spec.rate
-                assert schedule is not None
-                rate = schedule.rate_at(self._time)
-                per_instance = (
-                    rate * dt + self._source_backlog[name]
-                ) / parallelism
-                cost = spec.costs.base_cost * self._cost_multiplier()
-                for inst in instances:
-                    demands[inst.iid] = per_instance * max(cost, 1e-9)
-                continue
-            if spec.window is not None:
-                assign_cost, fire_cost = self._window_costs(
-                    spec, parallelism
-                )
-                for inst in instances:
-                    demands[inst.iid] = (
-                        inst.total_queue_length * assign_cost
-                        + inst.fire_backlog * fire_cost
-                    )
-                continue
-            cost = self._unit_cost(spec, parallelism)
-            for inst in instances:
-                demands[inst.iid] = inst.total_queue_length * cost
-        return demands
-
-    def _downstream_limit(
-        self, name: str, weights_cache: Dict[str, Tuple[float, ...]]
-    ) -> float:
-        """Maximum records this operator may emit right now without
-        overflowing any downstream instance queue (inf if unbounded)."""
-        limit = math.inf
-        for downstream in self._graph.downstream(name):
-            weights = weights_cache.setdefault(
-                downstream, self._plan.input_weights(downstream)
-            )
-            for inst, weight in zip(
-                self._obj_instances[downstream], weights
-            ):
-                if weight <= 0:
-                    continue
-                limit = min(
-                    limit, inst.ports[name].free_space / weight
-                )
-        return limit
-
-    def _emit(
-        self,
-        name: str,
-        records: float,
-        weights_cache: Dict[str, Tuple[float, ...]],
-    ) -> None:
-        """Distribute ``records`` output records of operator ``name``
-        across all downstream instance queues."""
-        if records <= 0:
-            return
-        for downstream in self._graph.downstream(name):
-            weights = weights_cache.setdefault(
-                downstream, self._plan.input_weights(downstream)
-            )
-            for inst, weight in zip(
-                self._obj_instances[downstream], weights
-            ):
-                if weight <= 0:
-                    continue
-                accepted = inst.ports[name].push(records * weight)
-                if accepted < records * weight - 1e-6:
-                    raise EngineError(
-                        f"emission overflow into {inst.iid}: the "
-                        "downstream limit computation is inconsistent"
-                    )
-
-    def _run_source(
-        self,
-        name: str,
-        spec: OperatorSpec,
-        instances: List[_Instance],
-        budgets: Mapping[InstanceId, float],
-        dt: float,
-    ) -> Tuple[float, float]:
-        """Generate and emit source records; returns (emitted, desired)."""
-        schedule = spec.rate
-        assert schedule is not None
-        rate = schedule.rate_at(self._time)
-        desired = rate * dt
-        available = desired + self._source_backlog[name]
-        cap = desired * self._config.source_catchup_factor
-        want = min(available, max(cap, desired))
-        weights_cache: Dict[str, Tuple[float, ...]] = {}
-        if self._runtime.sources_blocked_by_backpressure:
-            space = self._downstream_limit(name, weights_cache)
-        else:
-            space = math.inf
-        cost = spec.costs.base_cost * self._cost_multiplier()
-        parallelism = len(instances)
-        # Each source instance generates an equal share of the stream;
-        # the shared downstream space is divided fairly among them.
-        desires = []
-        for inst in instances:
-            share = want / parallelism
-            budget = budgets.get(inst.iid, dt)
-            by_budget = math.inf if cost <= 0 else budget / cost
-            desires.append(min(share, by_budget))
-        allocations = fair_allocate(space, desires)
-        emitted_total = 0.0
-        for inst, emit in zip(instances, allocations):
-            self._emit(name, emit, weights_cache)
-            useful = min(emit * cost, dt)
-            self._metrics.record(
-                inst.iid,
-                pulled=emit,
-                pushed=emit,
-                useful=useful,
-                waiting=max(0.0, dt - useful),
-            )
-            emitted_total += emit
-        self._source_backlog[name] = max(
-            0.0, available - emitted_total
-        )
-        return emitted_total, desired
-
-    def _run_operator(
-        self,
-        name: str,
-        spec: OperatorSpec,
-        instances: List[_Instance],
-        budgets: Mapping[InstanceId, float],
-        dt: float,
-        end_time: float,
-    ) -> float:
-        """Run one non-source operator for a tick; returns records
-        consumed (meaningful for sinks)."""
-        parallelism = len(instances)
-        weights_cache: Dict[str, Tuple[float, ...]] = {}
-        is_window = spec.window is not None
-        # Shared downstream space for this operator's emissions this
-        # tick, in output records; divided fairly among the instances
-        # so that a squeezed instance does not distort the
-        # backpressure limit seen by upstream operators.
-        if spec.is_sink:
-            space = math.inf
-        else:
-            space = self._downstream_limit(name, weights_cache)
-        consumed_total = 0.0
-        if is_window:
-            profiled = self._profiler.enabled
-            if profiled:
-                self._profiler.enter("engine.window_fire")
-            try:
-                assign_cost, fire_cost = self._window_costs(spec, parallelism)
-                fire_sel = spec.window.fire_selectivity
-                budgets_left = [budgets.get(i.iid, dt) for i in instances]
-                useful_acc = [0.0] * parallelism
-                pushed_acc = [0.0] * parallelism
-                pulled_acc = [0.0] * parallelism
-                # Fire work and assignment work share each instance's
-                # budget proportionally to their demands (the scheduler
-                # interleaves them); a fire-first priority would let a
-                # large fire backlog starve input reading entirely,
-                # collapsing throughput instead of degrading it.
-                fire_budget = [0.0] * parallelism
-                for index, inst in enumerate(instances):
-                    fire_demand = inst.fire_backlog * fire_cost
-                    assign_demand = inst.total_queue_length * assign_cost
-                    total_demand = fire_demand + assign_demand
-                    if total_demand <= 0:
-                        continue
-                    share = min(1.0, fire_demand / total_demand)
-                    fire_budget[index] = budgets_left[index] * share
-                # Stage 1: drain the fire backlogs (burst work), sharing the
-                # downstream space fairly.
-                fire_desires = []
-                for inst, budget in zip(instances, fire_budget):
-                    by_budget = (
-                        math.inf if fire_cost <= 0 else budget / fire_cost
-                    )
-                    fire_desires.append(min(inst.fire_backlog, by_budget))
-                fire_cap = (
-                    math.inf if fire_sel <= 0 else space / fire_sel
-                )
-                fired_alloc = fair_allocate(fire_cap, fire_desires)
-                for index, (inst, fired) in enumerate(
-                    zip(instances, fired_alloc)
-                ):
-                    if fired <= 0:
-                        continue
-                    inst.fire_backlog -= fired
-                    emit = fired * fire_sel
-                    self._emit(name, emit, weights_cache)
-                    useful_acc[index] += fired * fire_cost
-                    pushed_acc[index] += emit
-                    budgets_left[index] = max(
-                        0.0, budgets_left[index] - fired * fire_cost
-                    )
-                # Stage 2: assign newly arrived records to windows (no
-                # emission, so no space constraint).
-                for index, inst in enumerate(instances):
-                    by_budget = (
-                        math.inf
-                        if assign_cost <= 0
-                        else budgets_left[index] / assign_cost
-                    )
-                    assigned = inst.pop_records(
-                        min(inst.total_queue_length, by_budget)
-                    )
-                    assert inst.window is not None
-                    inst.window.buffered += assigned * spec.window.replication
-                    useful_acc[index] += assigned * assign_cost
-                    pulled_acc[index] += assigned
-                    # Stage 3: check window boundaries.
-                    released, _fires = inst.window.maybe_fire(end_time)
-                    inst.fire_backlog += released
-                for index, inst in enumerate(instances):
-                    useful = min(useful_acc[index], dt)
-                    self._metrics.record(
-                        inst.iid,
-                        pulled=pulled_acc[index],
-                        pushed=pushed_acc[index],
-                        useful=useful,
-                        waiting=max(0.0, dt - useful),
-                    )
-                    self._state.record_processed(name, pulled_acc[index])
-                    consumed_total += pulled_acc[index]
-                return consumed_total
-            finally:
-                if profiled:
-                    self._profiler.exit("engine.window_fire")
-        # Regular (non-window) operator.
-        unit_cost = self._unit_cost(spec, parallelism)
-        selectivity = spec.selectivity.ratio
-        desires = []
-        for inst in instances:
-            budget = budgets.get(inst.iid, dt)
-            by_budget = math.inf if unit_cost <= 0 else budget / unit_cost
-            desires.append(min(inst.total_queue_length, by_budget))
-        pull_cap = (
-            math.inf if selectivity <= 0 else space / selectivity
-        )
-        allocations = fair_allocate(pull_cap, desires)
-        for inst, allowed in zip(instances, allocations):
-            processed = inst.pop_records(allowed)
-            emit = processed * selectivity
-            pushed = 0.0
-            if not spec.is_sink and emit > 0:
-                self._emit(name, emit, weights_cache)
-                pushed = emit
-            useful = min(processed * unit_cost, dt)
-            self._metrics.record(
-                inst.iid,
-                pulled=processed,
-                pushed=pushed,
-                useful=useful,
-                waiting=max(0.0, dt - useful),
-            )
-            self._state.record_processed(name, processed)
-            consumed_total += processed
-        return consumed_total
+    def _queue_lengths(self) -> Dict[str, float]:
+        """Pending records per operator, in graph declaration order."""
+        pending = self._engine.pending_by_operator()
+        return {name: pending[name] for name in self._graph.names}
 
     # ------------------------------------------------------------------
-    # Latency & invariants
+    # Latency
     # ------------------------------------------------------------------
 
     def _observe_latency(
@@ -1201,48 +725,9 @@ class Simulator:
         sink_consumed: Mapping[str, float],
     ) -> None:
         if self._record_latency is not None:
-            if self._vec is not None:
-                self._record_latency.observe_tick(
-                    operator_delays=self._vec.operator_delays(),
-                    sink_consumed=sink_consumed,
-                )
-                if self._epoch_latency is not None:
-                    self._epoch_latency.observe_tick(
-                        now=self._time + dt,
-                        source_emitted=source_emitted,
-                        sink_consumed=sink_consumed,
-                    )
-                return
-            delays: Dict[str, float] = {}
-            for name, instances in self._obj_instances.items():
-                spec = self._graph.operator(name)
-                parallelism = len(instances)
-                if spec.is_source:
-                    # Source delay: time to drain external backlog.
-                    schedule = spec.rate
-                    assert schedule is not None
-                    rate = schedule.rate_at(self._time)
-                    backlog = self._source_backlog[name]
-                    delays[name] = backlog / rate if rate > 0 else 0.0
-                    continue
-                if spec.window is not None:
-                    assign_cost, fire_cost = self._window_costs(
-                        spec, parallelism
-                    )
-                    per_instance = [
-                        inst.total_queue_length * assign_cost
-                        + inst.fire_backlog * fire_cost
-                        for inst in instances
-                    ]
-                else:
-                    cost = self._unit_cost(spec, parallelism)
-                    per_instance = [
-                        inst.total_queue_length * cost
-                        for inst in instances
-                    ]
-                delays[name] = max(per_instance) if per_instance else 0.0
             self._record_latency.observe_tick(
-                operator_delays=delays, sink_consumed=sink_consumed
+                operator_delays=self._engine.operator_delays(),
+                sink_consumed=sink_consumed,
             )
         if self._epoch_latency is not None:
             self._epoch_latency.observe_tick(
@@ -1250,19 +735,6 @@ class Simulator:
                 source_emitted=source_emitted,
                 sink_consumed=sink_consumed,
             )
-
-    def _check_invariants(self) -> None:
-        if self._vec is not None:
-            self._vec.check_invariants()
-            return
-        for instances in self._obj_instances.values():
-            for inst in instances:
-                for queue in inst.ports.values():
-                    queue.check_conservation()
-                if inst.fire_backlog < -1e-6:
-                    raise EngineError(
-                        f"negative fire backlog at {inst.iid}"
-                    )
 
 
 __all__ = ["EngineConfig", "Simulator", "TickStats"]

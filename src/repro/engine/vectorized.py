@@ -1,104 +1,151 @@
-"""Struct-of-arrays engine backend (the ``vector`` engine).
+"""The engine's tick loop: struct-of-arrays state, one block per operator.
 
-The default ``object`` backend of :class:`~repro.engine.simulator.
-Simulator` steps one Python object per operator instance: a dict of
-:class:`~repro.engine.buffers.Queue` per port, a scalar fire backlog,
-and per-instance loops for routing, budget allocation, and metrics. That
-is O(upstream x downstream) Queue pushes per edge per tick — the binding
-constraint on wide deployments (the Nexmark queries run up to 36 slots).
-
-This module holds the same simulation as flat float64 numpy arrays, one
-block per operator:
+:class:`~repro.engine.simulator.Simulator` keeps the orchestration of a
+tick (order, outages, telemetry, TickStats); :class:`VectorEngine` holds
+the per-instance state and does every per-instance loop. The state is a
+handful of flat float64 numpy arrays per deployed plan, and each
+operator owns views into them:
 
 * ``q_len``, ``q_pushed``, ``q_popped`` — shape ``(K, p)`` for an
   operator with ``K`` input ports (one per upstream edge) and ``p``
   instances. Column ``j`` of row ``k`` is instance ``j``'s port queue
   for upstream ``k``: its current length and the cumulative pushed /
   popped conservation counters of :class:`~repro.engine.buffers.Queue`.
-* ``fire_backlog`` — shape ``(p,)``, windowed operators' released but
-  unprocessed records.
+  The plan-wide arrays are laid out operator by operator in topological
+  order, port-major, so the invariant check is one pass per tick.
+* ``fire_backlog`` and ``win_buffered`` — shape ``(p,)``, windowed
+  operators' released-but-unprocessed and buffered records. Their
+  plan-wide arrays use the metrics rows as index: topological operator
+  order, instance index ascending (``PhysicalPlan.all_instances``).
 * ``weights`` — shape ``(p,)``, the plan's input-partitioning weights
   for the operator (how upstream output is split across its instances).
 
-Window state (:class:`~repro.dataflow.windowing.WindowState`) is held
-as ``win_buffered`` — shape ``(p,)``, per-instance buffered records —
-plus one shared fire clock (``win_next_fire`` / ``win_last_check``)
-per operator: every instance of a window operator is created, reset,
-and fired with the same spec and the same virtual times, so the scalar
-clocks advance in bit-identical lockstep and only ``buffered`` varies
-per instance. :meth:`VectorEngine.materialize_instances` rebuilds real
-``WindowState`` objects from these arrays on demand.
+Window state (:class:`~repro.dataflow.windowing.WindowState`) is held as
+``win_buffered`` plus one shared fire clock (``win_next_fire`` /
+``win_last_check``) per operator: every instance of a window operator is
+created, reset, and fired with the same spec and the same virtual times,
+so the scalar clocks advance in lockstep and only ``buffered`` varies
+per instance. :meth:`VectorEngine.materialize_instances` rebuilds
+per-instance objects (queues, window state machines) on demand.
 
-**Equivalence contract.** The vector backend must produce *bit-identical*
-decisions, metrics, traces, and scorecards to the object backend. Every
-array operation below is chosen to replay the scalar float64 operations
-of the object backend exactly:
+Processing order within a tick is reverse topological, so when an
+operator runs, none of its input queues has been touched yet this tick:
+the queue totals taken at the start of the tick (in
+:meth:`VectorEngine.estimate_demands`) are still exact for it.
+
+**Numerical contract.** Outputs are frozen bit for bit by the committed
+reference campaigns in ``tests/engine/engine_reference.json``, recorded
+from the per-instance object loop this engine replaced. Every array
+operation replays that loop's scalar float64 operations exactly:
 
 * element-wise float64 arithmetic (`+`, `-`, `*`, `/`) is IEEE-754 and
-  matches the scalar interpreter operation for operation;
+  matches scalar arithmetic operation for operation;
 * ``np.minimum`` / ``np.maximum`` argument order mirrors the scalar
   ``min`` / ``max`` calls (both return the first argument on ties);
-* reductions that the object backend performs with sequential
-  left-to-right Python ``sum`` / ``+=`` are replayed as sequential
-  loops over ``.tolist()`` (``np.sum`` uses pairwise blocking and is
-  *not* bit-identical) — min/max reductions are order-free and safe;
-* queue pushes replay the object backend's base-dependent sequential
-  accumulation with ``np.cumsum`` over ``vstack([base, amounts])``
-  (cumsum is sequential by definition); columns where a bounded queue
-  would clamp an individual push fall back to an exact scalar replay.
-
-The contract is enforced by ``tests/engine/test_vector_equivalence.py``
-and by the golden-trace / chaos-scorecard byte-identity stages of
-``scripts/check.sh`` running under ``REPRO_ENGINE=vector``.
+  min/max reductions are order-free and safe;
+* sums are sequential left-to-right loops over ``.tolist()`` (``np.sum``
+  uses pairwise blocking and is *not* sequential), or element-wise adds
+  port by port;
+* queue pushes replay a sequential per-upstream-instance accumulation
+  with ``np.cumsum`` over ``[base, amounts...]`` (cumsum is sequential
+  by definition); columns where a bounded queue would clamp an
+  individual push fall back to an exact scalar replay.
 """
 
-# repro: equivalence-sensitive — bit-identity contract of docs/performance.md:
-# reductions here must stay sequential (REPRO4xx rules enforce this).
+# repro: equivalence-sensitive — outputs are frozen bit for bit; reductions
+# here must stay sequential (REPRO4xx rules enforce this).
 from __future__ import annotations
 
 import math
-import os
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.dataflow.operators import OperatorSpec
 from repro.dataflow.physical import InstanceId, PhysicalPlan
 from repro.dataflow.windowing import WindowState
-from repro.engine.allocation import fair_allocate_batch
-from repro.engine.npcompat import HAVE_NUMPY, FloatArray, np
+from repro.engine.allocation import FloatArray, fair_allocate_batch
+from repro.engine.buffers import Queue
 from repro.errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.simulator import Simulator, _Instance
+    from repro.engine.simulator import Simulator
 
-#: Environment variable selecting the engine backend for simulators
-#: constructed without an explicit ``backend=`` argument.
-ENGINE_ENV = "REPRO_ENGINE"
+# Whole-array reductions as direct ufunc calls: ``ndarray.max()`` and
+# friends add a Python-level wrapper, a measurable cost at a few calls
+# per operator per tick on arrays of a few elements.
+_array_max = np.maximum.reduce
+_array_min = np.minimum.reduce
+_array_any = np.logical_or.reduce
 
-#: Recognized backend names.
-BACKENDS = ("object", "vector")
+
+@dataclass
+class _Instance:
+    """Read-only snapshot of one operator instance (see
+    :meth:`VectorEngine.materialize_instances`).
+
+    Input records arrive through per-port queues, one per upstream
+    operator — as with Flink's per-channel network buffers, a flooding
+    input fills its own buffers and backpressures its own producer
+    without crowding out the other inputs of a join. Sources have no
+    ports.
+    """
+
+    iid: InstanceId
+    spec: OperatorSpec
+    ports: Dict[str, Queue]
+    window: Optional[WindowState] = None
+    fire_backlog: float = 0.0
+
+    @property
+    def total_queue_length(self) -> float:
+        """Records queued across all input ports."""
+        total = 0.0
+        for queue in self.ports.values():
+            total += queue.length
+        return total
+
+    @property
+    def max_fill_fraction(self) -> float:
+        """Worst port occupancy (0 for unbounded/portless)."""
+        if not self.ports:
+            return 0.0
+        return max(queue.fill_fraction for queue in self.ports.values())
+
+    @property
+    def pending_records(self) -> float:
+        extra = self.fire_backlog
+        if self.window is not None:
+            extra += self.window.buffered
+        return self.total_queue_length + extra
 
 
-def resolve_backend(backend: Optional[str]) -> str:
-    """Resolve the engine backend: the explicit argument if given, else
-    the ``REPRO_ENGINE`` environment variable, else ``object``."""
-    chosen = backend if backend is not None else (
-        os.environ.get(ENGINE_ENV) or "object"
-    )
-    if chosen not in BACKENDS:
-        raise EngineError(
-            f"unknown engine backend {chosen!r}; expected one of "
-            f"{BACKENDS} (see the {ENGINE_ENV} environment variable)"
-        )
-    if chosen == "vector" and not HAVE_NUMPY:
-        raise EngineError(
-            "the vector engine backend requires numpy; install numpy "
-            f"or select {ENGINE_ENV}=object"
-        )
-    return chosen
+class _Route:
+    """One edge of the deployed plan seen from its upstream operator:
+    the downstream block, the port row the edge feeds, and scratch
+    buffers for replaying the pushes of ``upstream`` instances."""
+
+    __slots__ = ("dop", "k", "all_positive", "positive", "buf", "partials")
+
+    def __init__(self, dop: "_OpState", k: int, upstream: int) -> None:
+        self.dop = dop
+        self.k = k
+        positive = dop.weights > 0
+        self.all_positive = bool(positive.all())
+        self.positive = positive
+        # Row 0 holds a queue counter, rows 1.. the amounts each
+        # upstream instance pushes; partials gets their running sums.
+        shape = (upstream + 1, dop.parallelism)
+        self.buf: FloatArray = np.empty(shape, dtype=np.float64)
+        self.partials: FloatArray = np.empty(shape, dtype=np.float64)
 
 
 class _OpState:
-    """Struct-of-arrays state of one operator's instances."""
+    """Struct-of-arrays state of one operator's instances (views into
+    the plan-wide arrays of :class:`VectorEngine`) plus the per-plan
+    constants its tick work needs."""
 
     __slots__ = (
         "name",
@@ -115,9 +162,14 @@ class _OpState:
         "win_next_fire",
         "win_last_check",
         "weights",
-        "weights_tuple",
         "row_start",
         "row_stop",
+        "routes",
+        "counters",
+        "cost_base",
+        "assign_base",
+        "fire_base",
+        "selectivity",
     )
 
     def __init__(
@@ -138,44 +190,20 @@ class _OpState:
             port: k for k, port in enumerate(ports)
         }
         self.capacity = capacity
-        self.q_len: FloatArray = np.zeros(
-            (len(ports), parallelism), dtype=np.float64
-        )
-        self.q_pushed: FloatArray = np.zeros_like(self.q_len)
-        self.q_popped: FloatArray = np.zeros_like(self.q_len)
-        self.fire_backlog: FloatArray = np.zeros(
-            parallelism, dtype=np.float64
-        )
-        # Window state, struct-of-arrays: the per-instance ``buffered``
-        # amounts plus the shared fire clock. All instances of a window
-        # operator are created, reset, and fired together with the same
-        # spec and the same virtual times, so their ``next_fire`` /
-        # ``_last_check`` scalars advance in bit-identical lockstep —
-        # one copy is enough.
-        self.win_buffered: Optional[FloatArray] = None
-        self.win_next_fire = 0.0
-        self.win_last_check = 0.0
-        self.weights_tuple = weights
         self.weights: FloatArray = np.array(weights, dtype=np.float64)
         self.row_start = row_start
         self.row_stop = row_start + parallelism
-
-    def queue_totals(self) -> FloatArray:
-        """Records queued per instance, summed across ports in port
-        order — the sequential sum of ``_Instance.total_queue_length``
-        replayed element-wise."""
-        totals = np.zeros(self.parallelism, dtype=np.float64)
-        for k in range(len(self.ports)):
-            totals = totals + self.q_len[k]
-        return totals
-
-    def pending(self) -> FloatArray:
-        """Per-instance pending records: queued + fire backlog +
-        window buffer (mirrors ``_Instance.pending_records``)."""
-        extra = self.fire_backlog
-        if self.win_buffered is not None:
-            extra = extra + self.win_buffered
-        return self.queue_totals() + extra
+        self.win_buffered: Optional[FloatArray] = None
+        self.win_next_fire = 0.0
+        self.win_last_check = 0.0
+        self.routes: List[_Route] = []
+        # This tick's pulled / pushed / busy-seconds rows (a view into
+        # the plan-wide counters, recorded once per tick).
+        self.counters: FloatArray = np.zeros((3, parallelism))
+        self.cost_base = 0.0
+        self.assign_base = 0.0
+        self.fire_base = 0.0
+        self.selectivity = spec.selectivity.ratio
 
     def max_fill(self) -> float:
         """Worst port occupancy across instances (0 when unbounded or
@@ -188,22 +216,33 @@ class _OpState:
 
 
 class VectorEngine:
-    """The struct-of-arrays tick loop behind ``backend="vector"``.
+    """The struct-of-arrays tick loop of
+    :class:`~repro.engine.simulator.Simulator`.
 
-    A friend object of :class:`~repro.engine.simulator.Simulator`: the
-    simulator keeps the orchestration (tick order, outages, telemetry,
-    TickStats) and delegates every per-instance loop here. All methods
-    mutate the per-operator arrays in place.
+    A friend object of the simulator: the simulator keeps the
+    orchestration and delegates every per-instance loop here. All
+    methods mutate the plan-wide arrays in place.
     """
 
     def __init__(self, sim: "Simulator") -> None:
-        if not HAVE_NUMPY:
-            raise EngineError(
-                "the vector engine backend requires numpy"
-            )
         self._sim = sim
         self._graph = sim.graph
         self._ops: Dict[str, _OpState] = {}
+        self._reverse_order: List[_OpState] = []
+        self._bounded: List[_OpState] = []
+        self._instances = 0
+        self._q_len: FloatArray = np.zeros(1, dtype=np.float64)
+        self._q_pushed: FloatArray = np.zeros(0, dtype=np.float64)
+        self._q_popped: FloatArray = np.zeros(0, dtype=np.float64)
+        self._fire_backlog: FloatArray = np.zeros(0, dtype=np.float64)
+        self._win_buffered: FloatArray = np.zeros(0, dtype=np.float64)
+        self._counters: FloatArray = np.zeros((3, 0), dtype=np.float64)
+        # Per port position k, the q_len index of every instance's port
+        # k, or the always-zero trailing slot for instances with fewer
+        # ports (see _queue_totals).
+        self._port_gathers: List[npt.NDArray[np.intp]] = []
+        # Queue totals per instance at the start of the current tick.
+        self._tick_totals: FloatArray = np.zeros(0, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Deployment
@@ -211,16 +250,16 @@ class VectorEngine:
 
     def deploy(self, plan: PhysicalPlan) -> None:
         """(Re)build array state for ``plan``, preserving in-flight
-        records and window buffers — the vector replay of
-        ``Simulator._deploy``."""
+        records and window buffers: each operator's queued records (per
+        port), window buffers and fire backlogs are summed across its
+        old instances and redistributed by the new input weights."""
         sim = self._sim
         carried_ports: Dict[str, Dict[str, float]] = {}
         carried_window: Dict[str, Tuple[float, float]] = {}
         for name, op in self._ops.items():
             per_port: Dict[str, float] = {}
             for k, port in enumerate(op.ports):
-                # Sequential per-instance sum, as the object backend
-                # accumulates queue lengths instance by instance.
+                # Sequential per-instance sum.
                 total = 0.0
                 for value in op.q_len[k].tolist():
                     total += value
@@ -234,43 +273,127 @@ class VectorEngine:
             for value in op.fire_backlog.tolist():
                 backlog += value
             carried_window[name] = (buffered, backlog)
-        self._ops = {}
-        next_row = 0
-        for name in self._graph.topological_order():
+
+        order = self._graph.topological_order()
+        runtime = sim.runtime
+        multiplier = sim._cost_multiplier()
+        ops: Dict[str, _OpState] = {}
+        slots = 0
+        rows = 0
+        for name in order:
             spec = self._graph.operator(name)
             parallelism = plan.parallelism_of(name)
-            capacity = sim.runtime.queue_capacity(spec, parallelism)
-            weights = plan.input_weights(name)
-            ports = tuple(self._graph.upstream(name))
             op = _OpState(
                 name=name,
                 spec=spec,
                 parallelism=parallelism,
-                ports=ports,
-                capacity=capacity,
-                weights=weights,
-                row_start=next_row,
+                ports=tuple(self._graph.upstream(name)),
+                capacity=runtime.queue_capacity(spec, parallelism),
+                weights=plan.input_weights(name),
+                row_start=rows,
             )
-            next_row = op.row_stop
+            rows = op.row_stop
+            slots += len(op.ports) * parallelism
+            ops[name] = op
+        q_len = np.zeros(slots + 1, dtype=np.float64)
+        q_pushed = np.zeros(slots, dtype=np.float64)
+        q_popped = np.zeros(slots, dtype=np.float64)
+        fire_backlog = np.zeros(rows, dtype=np.float64)
+        win_buffered = np.zeros(rows, dtype=np.float64)
+        counters = np.zeros((3, rows), dtype=np.float64)
+        max_ports = max((len(op.ports) for op in ops.values()), default=0)
+        gathers = [
+            np.full(rows, slots, dtype=np.intp) for _ in range(max_ports)
+        ]
+        offset = 0
+        for name in order:
+            op = ops[name]
+            spec = op.spec
+            p = op.parallelism
+            width = len(op.ports) * p
+            shape = (len(op.ports), p)
+            op.q_len = q_len[offset:offset + width].reshape(shape)
+            op.q_pushed = q_pushed[offset:offset + width].reshape(shape)
+            op.q_popped = q_popped[offset:offset + width].reshape(shape)
+            for k in range(len(op.ports)):
+                gathers[k][op.row_start:op.row_stop] = np.arange(
+                    offset + k * p, offset + (k + 1) * p
+                )
+            offset += width
+            op.fire_backlog = fire_backlog[op.row_start:op.row_stop]
+            op.counters = counters[:, op.row_start:op.row_stop]
             queued_by_port = carried_ports.get(name, {})
             buffered, backlog = carried_window.get(name, (0.0, 0.0))
-            for k, port in enumerate(ports):
-                carried = queued_by_port.get(port, 0.0)
-                # force_push of carried * weight per instance: length
-                # and the cumulative pushed counter both start there.
-                row = carried * op.weights
+            for k, port in enumerate(op.ports):
+                # A redeploy force-pushes carried * weight into every
+                # instance: length and pushed counter both start there.
+                row = queued_by_port.get(port, 0.0) * op.weights
                 op.q_len[k] = row
-                op.q_pushed[k] = row.copy()
-            op.fire_backlog = backlog * op.weights
-            if spec.window is not None:
+                op.q_pushed[k] = row
+            op.fire_backlog[:] = backlog * op.weights
+            costs = spec.costs
+            if spec.is_source:
+                op.cost_base = costs.base_cost * multiplier
+            elif spec.window is not None:
+                window = spec.window
                 # One WindowState carries the fire-clock reset semantics
                 # for the whole instance block (lockstep, see _OpState).
-                clock = WindowState(spec=spec.window)
+                clock = WindowState(spec=window)
                 clock.reset(sim.time)
-                op.win_buffered = buffered * op.weights
+                op.win_buffered = win_buffered[op.row_start:op.row_stop]
+                op.win_buffered[:] = buffered * op.weights
                 op.win_next_fire = clock.next_fire
                 op.win_last_check = clock._last_check
-            self._ops[name] = op
+                coordination = 1.0 + costs.coordination_alpha * (p - 1)
+                op.cost_base = coordination * multiplier
+                op.assign_base = (
+                    costs.base_cost + window.replication * window.assign_cost
+                )
+                op.fire_base = window.fire_cost
+            else:
+                cost = costs.effective_cost(p)
+                if spec.rate_limit is not None:
+                    cost = max(cost, 1.0 / spec.rate_limit)
+                op.cost_base = cost * multiplier
+        for name in order:
+            ops[name].routes = [
+                _Route(
+                    ops[downstream],
+                    ops[downstream].port_index[name],
+                    ops[name].parallelism,
+                )
+                for downstream in self._graph.downstream(name)
+            ]
+        self._ops = ops
+        self._reverse_order = list(reversed(ops.values()))
+        self._bounded = [
+            op for op in ops.values() if op.ports and op.capacity is not None
+        ]
+        self._instances = rows
+        self._q_len = q_len
+        self._q_pushed = q_pushed
+        self._q_popped = q_popped
+        self._fire_backlog = fire_backlog
+        self._win_buffered = win_buffered
+        self._counters = counters
+        self._port_gathers = gathers
+        self._tick_totals = self._queue_totals()
+
+    # ------------------------------------------------------------------
+    # Costs
+    # ------------------------------------------------------------------
+
+    def _unit_cost(self, op: _OpState) -> float:
+        """Per-record useful-time cost of regular (non-window)
+        processing: coordination overhead, rate limit, instrumentation
+        overhead, and this tick's cost noise."""
+        return op.cost_base * self._sim._jitter[op.name]
+
+    def _window_costs(self, op: _OpState) -> Tuple[float, float]:
+        """(assign_cost_per_input_record, fire_cost_per_buffered_record)
+        of a window operator this tick."""
+        multiplier = op.cost_base * self._sim._jitter[op.name]
+        return op.assign_base * multiplier, op.fire_base * multiplier
 
     # ------------------------------------------------------------------
     # Observability
@@ -279,19 +402,51 @@ class VectorEngine:
     def has_operator(self, name: str) -> bool:
         return name in self._ops
 
+    def _queue_totals(self) -> FloatArray:
+        """Records queued per instance (metrics-row order), summed
+        across ports in port order: one gather and add per port
+        position, portless instances reading the zero slot."""
+        gathers = self._port_gathers
+        if not gathers:
+            return np.zeros(self._instances, dtype=np.float64)
+        totals = self._q_len[gathers[0]]
+        for gather in gathers[1:]:
+            totals = totals + self._q_len[gather]
+        return totals
+
+    def _pending(self) -> List[float]:
+        """Per-instance pending records (queued + fire backlog + window
+        buffer), metrics-row order."""
+        extra = self._fire_backlog + self._win_buffered
+        pending: List[float] = (self._queue_totals() + extra).tolist()
+        return pending
+
+    def pending_by_operator(self) -> Dict[str, float]:
+        """Pending records per operator, each a sequential sum over its
+        instances, in topological order."""
+        pending = self._pending()
+        result: Dict[str, float] = {}
+        for name, op in self._ops.items():
+            total = 0.0
+            for value in pending[op.row_start:op.row_stop]:
+                total += value
+            result[name] = total
+        return result
+
     def queue_length(self, name: str) -> float:
         """Total pending records at an operator (all instances)."""
+        op = self._ops[name]
         total = 0.0
-        for value in self._ops[name].pending().tolist():
+        for value in self._pending()[op.row_start:op.row_stop]:
             total += value
         return total
 
     def total_queued(self) -> float:
-        """Records queued anywhere inside the dataflow."""
+        """Records pending anywhere inside the dataflow (one sequential
+        sum over every instance)."""
         total = 0.0
-        for op in self._ops.values():
-            for value in op.pending().tolist():
-                total += value
+        for value in self._pending():
+            total += value
         return total
 
     def max_fill(self, name: str) -> float:
@@ -299,41 +454,42 @@ class VectorEngine:
 
     def backpressured(self) -> Tuple[str, ...]:
         """Operators with a bounded port at or above the runtime's
-        backpressure threshold, in topological order."""
+        backpressure threshold, in topological order. Division by the
+        capacity is monotone, so the fullest queue decides."""
         threshold = self._sim.runtime.backpressure_threshold
-        result: List[str] = []
-        for name, op in self._ops.items():
-            if op.capacity is None or not op.ports:
-                continue
-            fills = np.minimum(1.0, op.q_len / op.capacity)
-            if bool((fills >= threshold).any()):
-                result.append(name)
-        return tuple(result)
+        return tuple(
+            op.name
+            for op in self._bounded
+            if min(1.0, _array_max(op.q_len, axis=None) / op.capacity)
+            >= threshold
+        )
 
     def check_invariants(self) -> None:
-        """Queue conservation and non-negative fire backlogs (the
-        vector replay of ``Queue.check_conservation``)."""
-        for name, op in self._ops.items():
-            if op.ports:
-                drift = np.abs(
-                    (op.q_pushed - op.q_popped) - op.q_len
-                )
-                scale = np.maximum(1.0, op.q_pushed)
-                bad = drift > 1e-6 * scale
-                if bool(bad.any()):
-                    k, j = (int(i[0]) for i in np.nonzero(bad))
+        """Queue conservation (``pushed - popped == length`` within
+        ``1e-6`` relative, as :meth:`Queue.check_conservation`) and
+        non-negative fire backlogs, one pass over the whole plan."""
+        pushed = self._q_pushed
+        popped = self._q_popped
+        length = self._q_len[:-1]
+        drift = np.abs((pushed - popped) - length)
+        bad = drift > 1e-6 * np.maximum(1.0, pushed)
+        if bool(bad.any()):
+            i = int(np.flatnonzero(bad)[0])
+            raise EngineError(
+                "queue conservation violated: "
+                f"pushed={float(pushed[i])} "
+                f"popped={float(popped[i])} "
+                f"length={float(length[i])}"
+            )
+        negative = self._fire_backlog < -1e-6
+        if bool(negative.any()):
+            row = int(np.flatnonzero(negative)[0])
+            for name, op in self._ops.items():
+                if op.row_start <= row < op.row_stop:
                     raise EngineError(
-                        "queue conservation violated: "
-                        f"pushed={float(op.q_pushed[k, j])} "
-                        f"popped={float(op.q_popped[k, j])} "
-                        f"length={float(op.q_len[k, j])}"
+                        "negative fire backlog at "
+                        f"{InstanceId(name, row - op.row_start)}"
                     )
-            negative = op.fire_backlog < -1e-6
-            if bool(negative.any()):
-                j = int(np.flatnonzero(negative)[0])
-                raise EngineError(
-                    f"negative fire backlog at {InstanceId(name, j)}"
-                )
 
     # ------------------------------------------------------------------
     # Demand estimation and latency delays
@@ -341,8 +497,12 @@ class VectorEngine:
 
     def estimate_demands(self, dt: float) -> Dict[str, FloatArray]:
         """Seconds of pending work per instance, one array per operator
-        in topological order (consumed by ``Runtime.budgets_batch``)."""
+        in topological order (consumed by ``Runtime.budgets_batch``).
+
+        Also snapshots this tick's queue totals for the operators'
+        tick work (see the module docstring on processing order)."""
         sim = self._sim
+        totals = self._tick_totals = self._queue_totals()
         demands: Dict[str, FloatArray] = {}
         for name, op in self._ops.items():
             spec = op.spec
@@ -353,30 +513,28 @@ class VectorEngine:
                 per_instance = (
                     rate * dt + sim.source_backlog(name)
                 ) / op.parallelism
-                cost = spec.costs.base_cost * sim._cost_multiplier()
                 demands[name] = np.full(
                     op.parallelism,
-                    per_instance * max(cost, 1e-9),
+                    per_instance * max(op.cost_base, 1e-9),
                     dtype=np.float64,
                 )
                 continue
-            if spec.window is not None:
-                assign_cost, fire_cost = sim._window_costs(
-                    spec, op.parallelism
-                )
+            queued = totals[op.row_start:op.row_stop]
+            if op.win_buffered is not None:
+                assign_cost, fire_cost = self._window_costs(op)
                 demands[name] = (
-                    op.queue_totals() * assign_cost
-                    + op.fire_backlog * fire_cost
+                    queued * assign_cost + op.fire_backlog * fire_cost
                 )
                 continue
-            cost = sim._unit_cost(spec, op.parallelism)
-            demands[name] = op.queue_totals() * cost
+            demands[name] = queued * self._unit_cost(op)
         return demands
 
     def operator_delays(self) -> Dict[str, float]:
-        """Per-operator drain delays for the record-latency tracker
-        (the vector replay of the loop in ``_observe_latency``)."""
+        """Per-operator drain delays for the record-latency tracker:
+        the source's backlog over its rate, else the slowest instance's
+        pending work in seconds."""
         sim = self._sim
+        totals = self._queue_totals()
         delays: Dict[str, float] = {}
         for name, op in self._ops.items():
             spec = op.spec
@@ -387,113 +545,143 @@ class VectorEngine:
                 backlog = sim.source_backlog(name)
                 delays[name] = backlog / rate if rate > 0 else 0.0
                 continue
-            if spec.window is not None:
-                assign_cost, fire_cost = sim._window_costs(
-                    spec, op.parallelism
-                )
+            queued = totals[op.row_start:op.row_stop]
+            if op.win_buffered is not None:
+                assign_cost, fire_cost = self._window_costs(op)
                 per_instance = (
-                    op.queue_totals() * assign_cost
-                    + op.fire_backlog * fire_cost
+                    queued * assign_cost + op.fire_backlog * fire_cost
                 )
             else:
-                cost = sim._unit_cost(spec, op.parallelism)
-                per_instance = op.queue_totals() * cost
-            delays[name] = float(per_instance.max())
+                per_instance = queued * self._unit_cost(op)
+            delays[name] = float(_array_max(per_instance))
         return delays
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
 
-    def _downstream_limit(self, name: str) -> float:
-        """Maximum records ``name`` may emit right now without
+    def _downstream_limit(self, op: _OpState) -> float:
+        """Maximum records ``op`` may emit right now without
         overflowing any downstream instance queue (inf if unbounded)."""
         limit = math.inf
-        for downstream in self._graph.downstream(name):
-            dop = self._ops[downstream]
+        for route in op.routes:
+            dop = route.dop
             if dop.capacity is None:
                 continue
-            k = dop.port_index[name]
-            free = np.maximum(0.0, dop.capacity - dop.q_len[k])
-            positive = dop.weights > 0
-            if bool(positive.any()):
+            free = np.maximum(0.0, dop.capacity - dop.q_len[route.k])
+            if route.all_positive:
+                candidate = float(_array_min(free / dop.weights))
+            elif bool(route.positive.any()):
+                positive = route.positive
                 candidate = float(
                     (free[positive] / dop.weights[positive]).min()
                 )
-                limit = min(limit, candidate)
+            else:
+                continue
+            limit = min(limit, candidate)
         return limit
 
-    def _emit(self, name: str, emits: FloatArray) -> None:
+    def _emit(self, op: _OpState, emits: FloatArray) -> None:
         """Distribute per-upstream-instance emissions across every
         downstream instance queue.
 
-        For downstream instance ``j`` the object backend pushes the
-        amounts ``emits[i] * weight[j]`` sequentially over upstream
-        instances ``i``; ``np.cumsum`` over ``vstack([base, amounts])``
-        replays that base-dependent sequence exactly. Columns where a
-        bounded queue would clamp an individual push (backpressure
-        epsilon cases) are replayed scalar-exactly instead.
+        Downstream instance ``j`` receives the amounts
+        ``emits[i] * weight[j]`` pushed sequentially over upstream
+        instances ``i``; a running sum (``np.add.accumulate``) over
+        ``[base, amounts...]`` replays that base-dependent sequence
+        exactly. A bounded push clamps when its amount exceeds the free
+        space seen at that step; before the first clamp the unclamped
+        running sums are the true lengths, so the clamp test is exact,
+        and clamped columns (backpressure epsilon cases) are replayed
+        scalar-exactly instead.
         """
-        for downstream in self._graph.downstream(name):
-            dop = self._ops[downstream]
-            k = dop.port_index[name]
-            amounts = np.outer(emits, dop.weights)
-            base_len = dop.q_len[k]
-            base_pushed = dop.q_pushed[k]
-            len_partials = np.cumsum(
-                np.vstack((base_len[None, :], amounts)), axis=0
-            )
-            new_pushed = np.cumsum(
-                np.vstack((base_pushed[None, :], amounts)), axis=0
-            )[-1]
+        for route in op.routes:
+            dop = route.dop
+            base_len = dop.q_len[route.k]
+            base_pushed = dop.q_pushed[route.k]
             capacity = dop.capacity
-            if capacity is None:
-                dop.q_len[k] = len_partials[-1]
-                dop.q_pushed[k] = new_pushed
-                continue
-            # A push clamps when its amount exceeds the free space seen
-            # at that step; before the first clamp the unclamped partial
-            # sums are the true lengths, so the test is exact.
-            free = np.maximum(0.0, capacity - len_partials[:-1])
-            clamped = (amounts > free).any(axis=0)
-            new_len = len_partials[-1]
-            if bool(clamped.any()):
-                for j in np.flatnonzero(clamped).tolist():
-                    length = float(base_len[j])
-                    pushed = float(base_pushed[j])
-                    for amount in amounts[:, j].tolist():
-                        space = max(0.0, capacity - length)
-                        accepted = min(amount, space)
-                        length += accepted
-                        pushed += accepted
-                        if accepted < amount - 1e-6:
-                            raise EngineError(
-                                "emission overflow into "
-                                f"{InstanceId(downstream, j)}: the "
-                                "downstream limit computation is "
-                                "inconsistent"
-                            )
-                    new_len[j] = length
-                    new_pushed[j] = pushed
-            dop.q_len[k] = new_len
-            dop.q_pushed[k] = new_pushed
+            fixes: List[Tuple[int, float, float]] = []
+            if op.parallelism == 1:
+                added = emits[0] * dop.weights
+                if capacity is not None:
+                    over = added > np.maximum(0.0, capacity - base_len)
+                    if _array_any(over):
+                        fixes = self._replay_clamped(
+                            dop, route.k, over, added[None, :]
+                        )
+                base_len += added
+                base_pushed += added
+            else:
+                buf = route.buf
+                amounts = buf[1:]
+                np.multiply.outer(emits, dop.weights, out=amounts)
+                buf[0] = base_len
+                partials = np.add.accumulate(buf, axis=0, out=route.partials)
+                if capacity is not None:
+                    free = np.maximum(0.0, capacity - partials[:-1])
+                    over = amounts > free
+                    if _array_any(over, axis=None):
+                        fixes = self._replay_clamped(
+                            dop, route.k, over.any(axis=0), amounts
+                        )
+                base_len[:] = partials[-1]
+                buf[0] = base_pushed
+                np.add.accumulate(buf, axis=0, out=partials)
+                base_pushed[:] = partials[-1]
+            for j, length, pushed in fixes:
+                base_len[j] = length
+                base_pushed[j] = pushed
+
+    @staticmethod
+    def _replay_clamped(
+        dop: _OpState, k: int, clamped: FloatArray, amounts: FloatArray
+    ) -> List[Tuple[int, float, float]]:
+        """Scalar replay of the sequential bounded pushes of ``amounts``
+        (one row per upstream instance) into the ``clamped`` columns of
+        port row ``k``; returns each column's (length, pushed) after."""
+        capacity = dop.capacity
+        assert capacity is not None
+        fixes = []
+        for j in np.flatnonzero(clamped).tolist():
+            length = float(dop.q_len[k, j])
+            pushed = float(dop.q_pushed[k, j])
+            for amount in amounts[:, j].tolist():
+                accepted = min(amount, max(0.0, capacity - length))
+                length += accepted
+                pushed += accepted
+                if accepted < amount - 1e-6:
+                    raise EngineError(
+                        "emission overflow into "
+                        f"{InstanceId(dop.name, j)}: the downstream "
+                        "limit computation is inconsistent"
+                    )
+            fixes.append((j, length, pushed))
+        return fixes
 
     def _pop_batch(
-        self, op: _OpState, amounts: FloatArray
+        self, op: _OpState, totals: FloatArray, amounts: FloatArray
     ) -> FloatArray:
         """Remove up to ``amounts[j]`` records from instance ``j``,
-        drawing from each port proportionally to its backlog — the
-        vector replay of ``_Instance.pop_records`` (including the
-        drain-everything shortcut and the negative-drift clamp)."""
+        drawing from each port proportionally to its backlog; returns
+        the records removed per instance. ``totals`` are the instances'
+        current queue totals.
+
+        A single-port instance pops ``min(amount, length)``: its
+        proportional share is ``amount * (length / length)``, exactly
+        ``amount``."""
         if not op.ports:
             return np.zeros(op.parallelism, dtype=np.float64)
-        totals = op.queue_totals()
+        queues = op.q_len
+        if len(op.ports) == 1:
+            removed_row = np.minimum(amounts, queues[0])
+            queues[0] -= removed_row
+            op.q_popped[0] += removed_row
+            return removed_row
         active = (amounts > 0) & (totals > 0)
         if not bool(active.any()):
             return np.zeros(op.parallelism, dtype=np.float64)
         drain = active & (amounts >= totals)
         partial = active & ~drain
-        queues = op.q_len
         removed = np.zeros_like(queues)
         if bool(partial.any()):
             safe_totals = np.where(partial, totals, 1.0)
@@ -511,16 +699,66 @@ class VectorEngine:
                     f"queue length went negative: {worst}"
                 )
             new_len = np.where(negative, 0.0, new_len)
-        op.q_len = new_len
-        op.q_popped = op.q_popped + removed
+        queues[:] = new_len
+        op.q_popped[:] += removed
         popped = np.zeros(op.parallelism, dtype=np.float64)
         for k in range(len(op.ports)):
             popped = popped + removed[k]
         return popped
 
+    @staticmethod
+    def _stage(
+        op: _OpState,
+        pulled: FloatArray,
+        pushed: FloatArray,
+        busy: FloatArray,
+    ) -> None:
+        """Set the block's counters for this tick (see :meth:`run_tick`)."""
+        counters = op.counters
+        counters[0] = pulled
+        counters[1] = pushed
+        counters[2] = busy
+
     # ------------------------------------------------------------------
     # Tick work
     # ------------------------------------------------------------------
+
+    def run_tick(
+        self, budgets: Dict[str, FloatArray], dt: float, end_time: float
+    ) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, float]]:
+        """Run every operator for one tick, sinks first, then record
+        every instance's counters; returns records emitted and desired
+        per source and consumed per non-source operator.
+
+        Each instance runs exactly once per tick, so its counters are
+        staged and added to the metrics accumulator in one block: the
+        same single add per instance and tick as recording operator by
+        operator. Useful time is the busy seconds capped at the tick,
+        waiting time the rest."""
+        emitted: Dict[str, float] = {}
+        desired: Dict[str, float] = {}
+        consumed: Dict[str, float] = {}
+        for op in self._reverse_order:
+            name = op.name
+            if op.spec.is_source:
+                emitted[name], desired[name] = self.run_source(
+                    name, op.spec, budgets[name], dt
+                )
+            else:
+                consumed[name] = self.run_operator(
+                    name, op.spec, budgets[name], dt, end_time
+                )
+        counters = self._counters
+        useful = np.minimum(counters[2], dt)
+        self._sim.metrics_manager.record_block(
+            0,
+            self._instances,
+            pulled=counters[0],
+            pushed=counters[1],
+            useful=useful,
+            waiting=np.maximum(0.0, dt - useful),
+        )
+        return emitted, desired, consumed
 
     def run_source(
         self,
@@ -530,8 +768,12 @@ class VectorEngine:
         dt: float,
     ) -> Tuple[float, float]:
         """Generate and emit source records; returns
-        ``(emitted, desired)`` — the vector replay of
-        ``Simulator._run_source``."""
+        ``(emitted, desired)``.
+
+        A source may drain its external backlog at up to
+        ``source_catchup_factor`` times its target rate. Each instance
+        generates an equal share of the stream, and the shared
+        downstream space is divided fairly among them."""
         sim = self._sim
         op = self._ops[name]
         schedule = spec.rate
@@ -542,10 +784,10 @@ class VectorEngine:
         cap = desired * sim.config.source_catchup_factor
         want = min(available, max(cap, desired))
         if sim.runtime.sources_blocked_by_backpressure:
-            space = self._downstream_limit(name)
+            space = self._downstream_limit(op)
         else:
             space = math.inf
-        cost = spec.costs.base_cost * sim._cost_multiplier()
+        cost = op.cost_base
         share = want / op.parallelism
         if cost <= 0:
             desires = np.full(
@@ -554,17 +796,8 @@ class VectorEngine:
         else:
             desires = np.minimum(share, budgets / cost)
         allocations = fair_allocate_batch(space, desires)
-        self._emit(name, allocations)
-        useful = np.minimum(allocations * cost, dt)
-        waiting = np.maximum(0.0, dt - useful)
-        sim.metrics_manager.record_block(
-            op.row_start,
-            op.row_stop,
-            pulled=allocations,
-            pushed=allocations,
-            useful=useful,
-            waiting=waiting,
-        )
+        self._emit(op, allocations)
+        self._stage(op, allocations, allocations, allocations * cost)
         emitted_total = 0.0
         for value in allocations.tolist():
             emitted_total += value
@@ -582,26 +815,30 @@ class VectorEngine:
         end_time: float,
     ) -> float:
         """Run one non-source operator for a tick; returns records
-        consumed — the vector replay of ``Simulator._run_operator``."""
+        consumed (meaningful for sinks).
+
+        The downstream space for this operator's emissions this tick
+        is shared fairly among its instances, so a squeezed instance
+        does not distort the backpressure limit seen upstream."""
         sim = self._sim
         op = self._ops[name]
         if spec.is_sink:
             space = math.inf
         else:
-            space = self._downstream_limit(name)
+            space = self._downstream_limit(op)
+        totals = self._tick_totals[op.row_start:op.row_stop]
         if op.win_buffered is not None:
             profiler = sim._profiler
             if profiler.enabled:
                 with profiler.span("engine.window_fire"):
                     return self._run_window(
-                        op, spec, budgets, dt, end_time, space
+                        op, totals, budgets, dt, end_time, space
                     )
             return self._run_window(
-                op, spec, budgets, dt, end_time, space
+                op, totals, budgets, dt, end_time, space
             )
-        unit_cost = sim._unit_cost(spec, op.parallelism)
-        selectivity = spec.selectivity.ratio
-        totals = op.queue_totals()
+        unit_cost = self._unit_cost(op)
+        selectivity = op.selectivity
         if unit_cost <= 0:
             desires = totals
         else:
@@ -610,23 +847,13 @@ class VectorEngine:
             math.inf if selectivity <= 0 else space / selectivity
         )
         allocations = fair_allocate_batch(pull_cap, desires)
-        processed = self._pop_batch(op, allocations)
-        emit = processed * selectivity
+        processed = self._pop_batch(op, totals, allocations)
         if spec.is_sink:
             pushed = np.zeros(op.parallelism, dtype=np.float64)
         else:
-            self._emit(name, emit)
-            pushed = emit
-        useful = np.minimum(processed * unit_cost, dt)
-        waiting = np.maximum(0.0, dt - useful)
-        sim.metrics_manager.record_block(
-            op.row_start,
-            op.row_stop,
-            pulled=processed,
-            pushed=pushed,
-            useful=useful,
-            waiting=waiting,
-        )
+            pushed = processed * selectivity
+            self._emit(op, pushed)
+        self._stage(op, processed, pushed, processed * unit_cost)
         processed_list = processed.tolist()
         sim.state_model.record_processed_block(name, processed_list)
         consumed_total = 0.0
@@ -637,28 +864,25 @@ class VectorEngine:
     def _run_window(
         self,
         op: _OpState,
-        spec: OperatorSpec,
+        totals: FloatArray,
         budgets: FloatArray,
         dt: float,
         end_time: float,
         space: float,
     ) -> float:
         sim = self._sim
-        window_spec = spec.window
+        window_spec = op.spec.window
         assert window_spec is not None and op.win_buffered is not None
-        assign_cost, fire_cost = sim._window_costs(
-            spec, op.parallelism
-        )
+        assign_cost, fire_cost = self._window_costs(op)
         fire_sel = window_spec.fire_selectivity
-        budgets_left = budgets.copy()
-        totals = op.queue_totals()
         backlog = op.fire_backlog
         # Fire work and assignment work share each instance's budget
-        # proportionally to their demands (see the object backend for
-        # why a fire-first priority would collapse throughput).
+        # proportionally to their demands (the scheduler interleaves
+        # them); a fire-first priority would let a large fire backlog
+        # starve input reading entirely, collapsing throughput instead
+        # of degrading it.
         fire_demand = backlog * fire_cost
-        assign_demand = totals * assign_cost
-        total_demand = fire_demand + assign_demand
+        total_demand = fire_demand + totals * assign_cost
         has_demand = total_demand > 0
         share = np.where(
             has_demand,
@@ -668,25 +892,20 @@ class VectorEngine:
             ),
             0.0,
         )
-        fire_budget = budgets_left * share
         # Stage 1: drain the fire backlogs (burst work), sharing the
         # downstream space fairly.
         if fire_cost <= 0:
-            fire_desires = backlog
+            fire_desires = backlog.copy()
         else:
             fire_desires = np.minimum(
-                backlog, fire_budget / fire_cost
+                backlog, (budgets * share) / fire_cost
             )
         fire_cap = math.inf if fire_sel <= 0 else space / fire_sel
         fired = fair_allocate_batch(fire_cap, fire_desires)
-        op.fire_backlog = backlog - fired
+        backlog -= fired
         emit = fired * fire_sel
-        self._emit(op.name, emit)
-        useful_acc = fired * fire_cost
-        pushed_acc = emit
-        budgets_left = np.maximum(
-            0.0, budgets_left - fired * fire_cost
-        )
+        self._emit(op, emit)
+        budgets_left = np.maximum(0.0, budgets - fired * fire_cost)
         # Stage 2: assign newly arrived records to windows (no
         # emission, so no space constraint). Firing popped nothing, so
         # the queue totals are unchanged.
@@ -696,7 +915,7 @@ class VectorEngine:
             amounts = np.minimum(
                 totals, budgets_left / assign_cost
             )
-        assigned = self._pop_batch(op, amounts)
+        assigned = self._pop_batch(op, totals, amounts)
         # WindowState.assign, element-wise: each instance buffers its
         # replicated share of the assigned records.
         buffered = op.win_buffered + assigned * window_spec.replication
@@ -708,6 +927,7 @@ class VectorEngine:
             fraction = min(1.0, elapsed / window_spec.fire_interval)
             released = buffered * fraction
             buffered = buffered - released
+            backlog += released
         else:
             fires = 0
             next_fire = op.win_next_fire
@@ -716,22 +936,13 @@ class VectorEngine:
                 next_fire += window_spec.fire_interval
             op.win_next_fire = next_fire
             if fires:
-                released = buffered
+                backlog += buffered
                 buffered = np.zeros(op.parallelism, dtype=np.float64)
             else:
-                released = np.zeros(op.parallelism, dtype=np.float64)
-        op.win_buffered = buffered
-        op.fire_backlog = op.fire_backlog + released
-        useful_acc = useful_acc + assigned * assign_cost
-        useful = np.minimum(useful_acc, dt)
-        waiting = np.maximum(0.0, dt - useful)
-        sim.metrics_manager.record_block(
-            op.row_start,
-            op.row_stop,
-            pulled=assigned,
-            pushed=pushed_acc,
-            useful=useful,
-            waiting=waiting,
+                backlog += 0.0
+        op.win_buffered[:] = buffered
+        self._stage(
+            op, assigned, emit, fired * fire_cost + assigned * assign_cost
         )
         assigned_list = assigned.tolist()
         sim.state_model.record_processed_block(op.name, assigned_list)
@@ -741,26 +952,22 @@ class VectorEngine:
         return consumed_total
 
     # ------------------------------------------------------------------
-    # Compatibility
+    # Inspection
     # ------------------------------------------------------------------
 
-    def materialize_instances(self) -> Dict[str, List["_Instance"]]:
-        """Object-backend-shaped snapshots of the array state, for
-        callers (tests, debuggers) that poke ``Simulator._instances``.
+    def materialize_instances(self) -> Dict[str, List[_Instance]]:
+        """Per-instance snapshots of the array state, for callers
+        (tests, debuggers) that inspect ``Simulator._instances``.
 
         Queues are rebuilt with the exact length / pushed / popped
-        trajectory of the arrays, so conservation checks and fill
-        fractions read identically; window state machines are rebuilt
-        from the buffered array and the shared fire clock. Treat the
-        result as read-only: mutations do not flow back into the
-        arrays.
+        values of the arrays, so conservation checks and fill fractions
+        read identically; window state machines are rebuilt from the
+        buffered array and the shared fire clock. The result is
+        read-only: mutations do not flow back into the arrays.
         """
-        from repro.engine.buffers import Queue
-        from repro.engine.simulator import _Instance
-
-        result: Dict[str, List["_Instance"]] = {}
+        result: Dict[str, List[_Instance]] = {}
         for name, op in self._ops.items():
-            instances: List["_Instance"] = []
+            instances: List[_Instance] = []
             for j in range(op.parallelism):
                 ports: Dict[str, Queue] = {}
                 for k, port in enumerate(op.ports):
@@ -787,9 +994,4 @@ class VectorEngine:
         return result
 
 
-__all__ = [
-    "BACKENDS",
-    "ENGINE_ENV",
-    "VectorEngine",
-    "resolve_backend",
-]
+__all__ = ["VectorEngine"]

@@ -116,7 +116,6 @@ def run_controlled(
     scalable_operators: Optional[Tuple[str, ...]] = None,
     sample_every: int = 4,
     fault_schedule: Optional[FaultSchedule] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentRun:
     """Run ``controller`` against ``graph`` on ``runtime``.
 
@@ -141,10 +140,6 @@ def run_controlled(
             :class:`~repro.faults.injector.FaultInjector` and the loop
             runs against the shim (the control path is otherwise
             unchanged).
-        backend: Engine backend (``"object"`` or ``"vector"``); None
-            defers to ``$REPRO_ENGINE`` (see
-            :func:`repro.engine.vectorized.resolve_backend`). Results
-            are bit-identical either way.
     """
     if plan is None:
         plan = PhysicalPlan(
@@ -153,9 +148,7 @@ def run_controlled(
             max_parallelism=max_parallelism,
         )
     config = engine_config or EngineConfig()
-    simulator = Simulator(
-        plan=plan, runtime=runtime, config=config, backend=backend
-    )
+    simulator = Simulator(plan=plan, runtime=runtime, config=config)
     injector: Optional[FaultInjector] = None
     job = simulator
     if fault_schedule is not None:

@@ -669,10 +669,6 @@ class CampaignCellSpec:
     tail_seconds: float
     engine_config: Optional[EngineConfig] = None
     scalable_operators: Optional[Tuple[str, ...]] = None
-    #: Engine backend for this cell ("object" or "vector"); None
-    #: defers to $REPRO_ENGINE. Part of the cell fingerprint only when
-    #: set, so pre-sweep journals keep their recorded hashes.
-    engine_backend: Optional[str] = None
 
     @property
     def key(self) -> CellKey:
@@ -704,7 +700,6 @@ def run_campaign_cell(spec: CampaignCellSpec) -> SasoScorecard:
             engine_config=spec.engine_config,
             scalable_operators=spec.scalable_operators,
             fault_schedule=spec.schedule,
-            backend=spec.engine_backend,
         )
     return score_campaign_run(
         run,

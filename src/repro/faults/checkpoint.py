@@ -188,13 +188,6 @@ def cell_fingerprint(spec: CampaignCellSpec) -> str:
             else None
         ),
     }
-    if spec.engine_backend is not None:
-        # Only when pinned: an absent key keeps every fingerprint
-        # recorded before the backend axis existed byte-identical, so
-        # old journals still resume. (An env-selected backend changes
-        # no results — the backends are bit-identical by construction —
-        # so it rightly stays out of the hash.)
-        doc["engine_backend"] = spec.engine_backend
     blob = json.dumps(doc, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 

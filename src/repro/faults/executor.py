@@ -24,6 +24,8 @@ optional per-cell wall-clock budget (``cell_timeout``, SIGALRM in the
 executing process), progress heartbeats, and SIGINT/SIGTERM draining:
 in-flight cells finish and are journaled, then
 :class:`CampaignInterrupted` says how far the batch got.
+A hard-killed parent cannot drain at all; its pool workers notice the
+death and exit on their own (:func:`exit_with_parent`).
 
 Determinism contract: placement, policy and resumption never change
 results. Each cell meters into a private registry and profiler; the
@@ -259,6 +261,32 @@ def _terminate_as_interrupt() -> Iterator[None]:
         yield
     finally:
         signal.signal(signal.SIGTERM, previous)
+
+
+#: Seconds between a pool worker's checks that its parent still lives.
+PARENT_POLL_SECONDS = 0.2
+
+
+# repro: worker-entry
+def exit_with_parent() -> None:
+    """Pool-worker initializer: exit as soon as the parent is gone.
+
+    A parent that is hard-killed (SIGKILL) cannot shut its pool down,
+    and its workers would block forever on the call queue. A daemon
+    thread watches the worker's parent pid; once the worker has been
+    re-parented, it exits at once, even mid-cell.
+    """
+    parent = os.getppid()
+    pause = threading.Event()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            pause.wait(PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(
+        target=watch, name="repro-parent-watch", daemon=True
+    ).start()
 
 
 # ----------------------------------------------------------------------
@@ -586,7 +614,8 @@ class CampaignExecutor:
         done: Dict[int, CellOutcome],
     ) -> None:
         pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self._jobs, len(pending))
+            max_workers=min(self._jobs, len(pending)),
+            initializer=exit_with_parent,
         )
         waiting: Dict["concurrent.futures.Future[CellOutcome]", int] = {}
 

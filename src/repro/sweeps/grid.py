@@ -10,7 +10,7 @@ progress heartbeats, and span profiling.
 
 Scheduling fairness: a cell's fault schedule is sampled from
 ``(profile, burstiness, seed, campaign index)`` only — cells that
-differ in rate, runtime, backend, or controller replay *identical*
+differ in rate, runtime, or controller replay *identical*
 storms, so DS2-vs-Dhalion margins and per-axis marginals compare
 controllers under the same faults, not different luck. A pinned
 burstiness gets its own variant profile (distinct PRNG stream), since
@@ -178,7 +178,7 @@ def _variant_profile(
 ) -> CampaignProfile:
     """The cell's sampling profile. A pinned burstiness renames the
     profile (``smoke[b=3]``), giving the variant its own PRNG stream —
-    a burstier storm is a *different* storm, while rate/runtime/backend
+    a burstier storm is a *different* storm, while rate/runtime
     variations keep the base stream so schedules stay shared."""
     base = PROFILES[profile]
     if burstiness is None or burstiness == base.burstiness:
@@ -292,11 +292,6 @@ def compile_grid(spec: SweepSpec) -> CompiledGrid:
                     tail_seconds=SWEEP_TAIL_SECONDS,
                     engine_config=engine_config,
                     scalable_operators=scalable,
-                    engine_backend=(
-                        None
-                        if cell.backend == "default"
-                        else cell.backend
-                    ),
                 )
             )
             owners.append((cell.index, k))
@@ -364,7 +359,7 @@ def run_sweep(
     With ``checkpoint``, completed cells are durably journaled the
     moment they finish and a hard-killed sweep resumes with
     ``resume=True`` producing byte-identical output. Results are
-    byte-identical across job counts, backends, and fresh-vs-resumed
+    byte-identical across job counts and fresh-vs-resumed
     runs.
     """
     grid = compile_grid(spec)

@@ -2,10 +2,10 @@
 
 A :class:`SweepSpec` names a grid over six axes — chaos profile,
 source-rate multiplier, burstiness, controller, runtime, and engine
-backend — plus optional explicit cells outside the cartesian product
-(e.g. Timely-runtime cells for DS2 only, where Dhalion has no
-global-scaling analogue). Expansion (:func:`expand_cells`) is
-deterministic by construction:
+backend (``"default"`` only) — plus optional explicit cells outside
+the cartesian product (e.g. Timely-runtime cells for DS2 only, where
+Dhalion has no global-scaling analogue). Expansion
+(:func:`expand_cells`) is deterministic by construction:
 
 * axis values are canonicalized (deduplicated and sorted) at
   construction, so neither axis declaration order nor value
@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -61,10 +62,14 @@ SWEEP_CONTROLLERS: Tuple[str, ...] = ("ds2", "ds2-legacy", "dhalion")
 #: Runtime execution models cells may run on.
 SWEEP_RUNTIMES: Tuple[str, ...] = ("heron", "flink", "timely")
 
-#: Engine backends; "default" defers to ``$REPRO_ENGINE`` (and keeps
-#: the backend out of the cell fingerprint, so the same journal resumes
-#: under either backend — they are bit-identical by construction).
-SWEEP_BACKENDS: Tuple[str, ...] = ("default", "object", "vector")
+#: Engine backend axis values. The engine has one tick loop, so
+#: "default" is the only value; the axis stays so that reports and
+#: journals keep their shape.
+SWEEP_BACKENDS: Tuple[str, ...] = ("default",)
+
+#: Backend values of earlier releases, rejected with a pointer to the
+#: removal rather than as unknown values.
+REMOVED_BACKENDS: Tuple[str, ...] = ("object", "vector")
 
 #: Axis values assumed when a spec omits the axis entirely.
 DEFAULT_AXES: Dict[str, Tuple[object, ...]] = {
@@ -126,6 +131,16 @@ def _check_burstiness(
     return burst
 
 
+def _check_backend(value: object, axis: str = "backend") -> str:
+    if isinstance(value, str) and value in REMOVED_BACKENDS:
+        raise _axis_error(
+            axis,
+            f"engine backend {value!r} was removed: the engine has one "
+            "tick loop (use 'default' or drop the axis)",
+        )
+    return _check_choice(value, axis, SWEEP_BACKENDS)
+
+
 def _check_choice(
     value: object, axis: str, choices: Tuple[str, ...]
 ) -> str:
@@ -157,7 +172,7 @@ class CellCoordinate:
             self.controller, "controller", SWEEP_CONTROLLERS
         )
         _check_choice(self.runtime, "runtime", SWEEP_RUNTIMES)
-        _check_choice(self.backend, "backend", SWEEP_BACKENDS)
+        _check_backend(self.backend)
         if self.controller == "dhalion" and self.runtime == "timely":
             raise SweepError(
                 "cell pairs controller 'dhalion' with runtime "
@@ -263,9 +278,7 @@ def _canonical(
         ]
         ordered = [r for r in SWEEP_RUNTIMES if r in set(checked)]
     elif axis == "backend":
-        checked = [
-            _check_choice(v, axis, SWEEP_BACKENDS) for v in values
-        ]
+        checked = [_check_backend(v, axis) for v in values]
         ordered = [b for b in SWEEP_BACKENDS if b in set(checked)]
     else:
         raise SweepError(
@@ -452,11 +465,7 @@ def _coordinate_from_mapping(
             runtime=_check_choice(
                 cell["runtime"], "runtime", SWEEP_RUNTIMES
             ),
-            backend=_check_choice(
-                cell.get("backend", "default"),
-                "backend",
-                SWEEP_BACKENDS,
-            ),
+            backend=_check_backend(cell.get("backend", "default")),
         )
     except SweepError as error:
         raise SweepError(
@@ -565,24 +574,49 @@ def sweep_label(spec: SweepSpec) -> str:
 # TOML loading
 # ----------------------------------------------------------------------
 
+#: The TOML grammar pieces the fallback parser accepts: bare keys and
+#: table names, decimal integers and floats (with ``_`` separators),
+#: ``inf``/``nan``, and basic strings that need no escapes.
+_BARE_KEY = re.compile(r"[A-Za-z0-9_-]+")
+_DIGITS = r"[0-9](?:_?[0-9])*"
+_INT_PART = r"[+-]?(?:0|[1-9](?:_?[0-9])*)"
+_INTEGER = re.compile(_INT_PART)
+_FLOAT = re.compile(
+    rf"{_INT_PART}"
+    rf"(?:\.{_DIGITS}(?:[eE][+-]?{_DIGITS})?|[eE][+-]?{_DIGITS})"
+    r"|[+-]?(?:inf|nan)"
+)
+_PLAIN_STRING = re.compile(r'"[^"\\\x00-\x08\x0a-\x1f\x7f]*"')
+#: Control characters TOML forbids anywhere outside escapes.
+_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
+
+
 def _parse_scalar(text: str, where: str) -> object:
-    text = text.strip()
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
+    text = text.strip(" \t")
+    if _PLAIN_STRING.fullmatch(text):
         return text[1:-1]
     if text == "true":
         return True
     if text == "false":
         return False
     try:
-        return int(text)
-    except ValueError:
+        if _INTEGER.fullmatch(text):
+            return int(text.replace("_", ""))
+        if _FLOAT.fullmatch(text):
+            return float(text.replace("_", ""))
+    except ValueError:  # e.g. beyond int()'s digit limit
         pass
-    try:
-        return float(text)
-    except ValueError:
-        raise SweepError(
-            f"{where}: unsupported TOML value {text!r}"
-        ) from None
+    raise SweepError(f"{where}: unsupported TOML value {text!r}")
+
+
+def _parse_array(text: str, where: str) -> List[object]:
+    inner = text[1:-1]
+    if not inner.strip(" \t"):
+        return []
+    items = inner.split(",")
+    if len(items) > 1 and not items[-1].strip(" \t"):
+        items.pop()  # one trailing comma is allowed
+    return [_parse_scalar(item, where) for item in items]
 
 
 def _parse_minimal_toml(text: str, where: str) -> Dict[str, object]:
@@ -590,18 +624,27 @@ def _parse_minimal_toml(text: str, where: str) -> Dict[str, object]:
 
     Python < 3.11 has no ``tomllib`` and this repo adds no third-party
     dependencies, so spec files are limited to what both readers
-    accept: ``[table]`` / ``[[array-of-tables]]`` headers and
-    ``key = scalar-or-flat-array`` pairs.
+    accept: ``[table]`` / ``[[array-of-tables]]`` headers with bare
+    names and ``key = scalar-or-flat-array`` pairs with bare keys,
+    each on one line. Within that subset the result equals
+    ``tomllib``'s; anything else (including input ``tomllib`` would
+    read differently, such as escapes or dotted keys) is rejected with
+    :class:`SweepError`, as is everything ``tomllib`` rejects: a key
+    or table defined twice, adjacent strings, malformed numbers.
     """
     root: Dict[str, object] = {}
     current: Dict[str, object] = root
     for number, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+        spot = f"{where}:{number}"
+        if raw.endswith("\r"):
+            raw = raw[:-1]
+        if _CONTROL.search(raw):
+            raise SweepError(f"{spot}: control character in TOML")
+        line = raw.split("#", 1)[0].strip(" \t")
         if not line:
             continue
-        spot = f"{where}:{number}"
         if line.startswith("[[") and line.endswith("]]"):
-            name = line[2:-2].strip()
+            name = _table_name(line[2:-2], spot)
             tables = root.setdefault(name, [])
             if not isinstance(tables, list):
                 raise SweepError(
@@ -611,34 +654,37 @@ def _parse_minimal_toml(text: str, where: str) -> Dict[str, object]:
             tables.append(current)
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            table = root.setdefault(name, {})
-            if not isinstance(table, dict):
-                raise SweepError(
-                    f"{spot}: {name!r} is both a table and an array"
-                )
-            current = table
+            name = _table_name(line[1:-1], spot)
+            if name in root:
+                raise SweepError(f"{spot}: table {name!r} defined twice")
+            current = root[name] = {}
             continue
         if "=" not in line:
             raise SweepError(f"{spot}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if value.startswith("[") and value.endswith("]"):
-            inner = value[1:-1].strip()
-            items = (
-                [
-                    _parse_scalar(item, spot)
-                    for item in inner.split(",")
-                    if item.strip()
-                ]
-                if inner
-                else []
+        key = key.strip(" \t")
+        if not _BARE_KEY.fullmatch(key):
+            raise SweepError(
+                f"{spot}: unsupported TOML key {key!r} (bare keys only)"
             )
-            current[key] = items
+        if key in current:
+            raise SweepError(f"{spot}: key {key!r} defined twice")
+        value = value.strip(" \t")
+        if value.startswith("[") and value.endswith("]"):
+            current[key] = _parse_array(value, spot)
         else:
             current[key] = _parse_scalar(value, spot)
     return root
+
+
+def _table_name(text: str, where: str) -> str:
+    name = text.strip(" \t")
+    if not _BARE_KEY.fullmatch(name):
+        raise SweepError(
+            f"{where}: unsupported TOML table name {name!r} "
+            "(bare names only)"
+        )
+    return name
 
 
 def _load_toml(path: str) -> Dict[str, object]:

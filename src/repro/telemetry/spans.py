@@ -14,9 +14,9 @@ Two determinism rules keep spans out of the decision path:
 
 * span *structure* (names, counts, nesting) is a pure function of the
   seeded virtual-time run, so identical seeds produce identical trees
-  under the object and vector engine backends, serial or process-pool
-  — :meth:`SpanProfiler.structure` exports exactly that shape, with
-  wall-times stripped, and the test suite gates on it;
+  serial or process-pool — :meth:`SpanProfiler.structure` exports
+  exactly that shape, with wall-times stripped, and the test suite
+  gates on it;
 * wall-clock durations live only in the span channel. They are never
   mixed into traces, scorecards, or any golden artifact.
 

@@ -1,11 +1,13 @@
 """Unit tests for fair (water-filling) allocation."""
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from repro.engine import allocation
 from repro.engine.allocation import fair_allocate, fair_allocate_batch
-from repro.engine.npcompat import HAVE_NUMPY, np
 from repro.errors import EngineError
 
 try:
@@ -73,11 +75,21 @@ class TestFairAllocate:
         assert allocation == pytest.approx([2.0, 5.0, 5.0])
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
+def batch_variants(total, desires):
+    """``fair_allocate_batch`` as the engine calls it, and with its
+    array rounds forced at every size (small inputs otherwise take the
+    scalar rounds)."""
+    array = np.asarray(desires, dtype=np.float64)
+    default = fair_allocate_batch(total, array)
+    with mock.patch.object(allocation, "SCALAR_BELOW", 0):
+        forced = fair_allocate_batch(total, array)
+    return [default.tolist(), forced.tolist()]
+
+
 class TestFairAllocateBatch:
     """The vectorized water-fill must be *bit-identical* to the scalar
-    one — it backs the vector engine backend, whose decisions must
-    match the object backend exactly."""
+    one — the engine's frozen outputs were recorded with the scalar
+    water-fill."""
 
     CASES = [
         (100.0, [10.0, 20.0, 30.0]),
@@ -96,10 +108,8 @@ class TestFairAllocateBatch:
 
     @pytest.mark.parametrize("total,desires", CASES)
     def test_matches_scalar_exactly(self, total, desires):
-        batch = fair_allocate_batch(
-            total, np.asarray(desires, dtype=np.float64)
-        )
-        assert batch.tolist() == fair_allocate(total, desires)
+        expected = fair_allocate(total, desires)
+        assert batch_variants(total, desires) == [expected, expected]
 
     def test_negative_total_rejected(self):
         with pytest.raises(EngineError):
@@ -127,7 +137,5 @@ class TestFairAllocateBatch:
         )
         @settings(max_examples=200, deadline=None)
         def test_property_bit_identical(self, total, desires):
-            batch = fair_allocate_batch(
-                total, np.asarray(desires, dtype=np.float64)
-            )
-            assert batch.tolist() == fair_allocate(total, desires)
+            expected = fair_allocate(total, desires)
+            assert batch_variants(total, desires) == [expected, expected]

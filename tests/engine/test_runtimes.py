@@ -1,5 +1,6 @@
 """Unit tests for the Flink/Heron/Timely execution models."""
 
+import numpy as np
 import pytest
 
 from repro.dataflow.graph import Edge, LogicalGraph
@@ -11,7 +12,6 @@ from repro.dataflow.operators import (
     source,
 )
 from repro.dataflow.physical import InstanceId, PhysicalPlan
-from repro.engine.npcompat import HAVE_NUMPY, np
 from repro.engine.runtimes import (
     FlinkRuntime,
     HeronRuntime,
@@ -170,10 +170,9 @@ class TestWaterfillEdgeCases:
         assert sum(allocation) == pytest.approx(0.3)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
 class TestBudgetsBatch:
     """budgets_batch must agree exactly with the per-InstanceId
-    budgets path — it backs the vector engine backend."""
+    budgets path — the engine calls the batched one."""
 
     def as_demand_arrays(self, plan, demands):
         return {

@@ -1,259 +1,132 @@
-"""Object vs vector engine backend equivalence.
+"""The engine against its frozen reference outputs.
 
-The ``vector`` (struct-of-arrays) backend must be *bit-identical* to
-the ``object`` backend — same TickStats, same MetricsWindows, same
-observability accessor values, same errors — through rescales and
-instance crashes. Equality here is exact (``==`` on floats), not
-approximate: the vector backend replays the object backend's float64
-operations operation for operation (see ``docs/engine.md``).
-
-These tests drive full campaigns over the representative cells: the
-smoke wordcount pipeline, the windowed Nexmark Q5 job (Flink and Heron
-runtimes), and a Timely deployment (shared-worker water-filling
-budgets).
+Before the engine became one struct-of-arrays tick loop, two loops (a
+per-instance object loop and the vector loop) were kept bit-identical.
+The object loop's outputs on the representative campaigns are frozen in
+``engine_reference.json`` (see ``reference_campaigns.py``): TickStats,
+MetricsWindows, observability accessor values and crash outages
+through rescales and instance crashes, for the smoke wordcount
+pipeline, the windowed Nexmark Q5 job (Flink and Heron runtimes), and
+a Timely deployment (shared-worker water-filling budgets). Equality
+is exact (``==`` on floats), not approximate.
 """
 
-import random
+import json
 
 import pytest
 
 from repro.dataflow.physical import PhysicalPlan
-from repro.engine.npcompat import HAVE_NUMPY
-from repro.engine.runtimes import FlinkRuntime, HeronRuntime, TimelyRuntime
+from repro.engine.runtimes import FlinkRuntime, HeronRuntime
 from repro.engine.simulator import EngineConfig, Simulator
-from repro.engine.vectorized import ENGINE_ENV, resolve_backend
+from repro.engine.vectorized import VectorEngine
 from repro.errors import EngineError
-from repro.workloads.nexmark import get_query
 from repro.workloads.wordcount import (
     flink_wordcount_graph,
     flink_wordcount_initial_parallelism,
 )
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vector backend requires numpy"
+from tests.engine.reference_campaigns import (
+    CAMPAIGNS,
+    accessor_fingerprint,
+    canonical,
+    load_reference,
+    materialized_instances,
+    q5_accessor_simulator,
 )
 
 
-def window_fingerprint(window):
-    """Everything a MetricsWindow reports, in comparable form."""
-    return (
-        window.start,
-        window.end,
-        sorted(window.instances.items()),
-        sorted(window.health.items()),
-        window.source_observed_rates,
-        window.outage_fraction,
-        window.completeness,
-        window.registered_parallelism,
-        window.truncated,
-    )
+@pytest.fixture(scope="module")
+def reference():
+    return load_reference()
 
 
-def accessor_fingerprint(sim):
-    """The Simulator observability accessors, all operators."""
-    return (
-        sim.time,
-        sim.total_queued_records(),
-        sim.pending_records(),
-        tuple(sim.backpressured_operators()),
-        {
-            name: (
-                sim.queue_length(name),
-                sim.pending_records(name),
-                sim.max_fill_fraction(name),
-                sim.utilization(name),
-            )
-            for name in sim.graph.topological_order()
-        },
-    )
-
-
-def run_campaign(sim, ticks, rescale=None, fail=None):
-    """Three phases of ``ticks`` steps with a collection after each;
-    a rescale after phase 0 and an instance crash after phase 1.
-    Returns every TickStats, window fingerprint, and accessor
-    fingerprint produced along the way."""
-    trace = []
-    for phase in range(3):
-        for _ in range(ticks):
-            trace.append(sim.step())
-        trace.append(accessor_fingerprint(sim))
-        trace.append(window_fingerprint(sim.collect_metrics()))
-        if phase == 0 and rescale is not None:
-            sim.rescale(rescale)
-        if phase == 1 and fail is not None:
-            trace.append(sim.fail_instance(*fail))
-    return trace
-
-
-def assert_backends_identical(make_sim, ticks, rescale=None, fail=None):
-    traces = []
-    for backend in ("object", "vector"):
-        # Identical jitter streams for both backends.
-        random.seed(20180621)  # repro: allow[REPRO102] — deliberate: same jitter both backends
-        traces.append(
-            run_campaign(make_sim(backend), ticks, rescale, fail)
-        )
-    assert traces[0] == traces[1]
+def assert_matches_reference(reference, key):
+    """Run campaign ``key`` and compare it entry by entry (so a failure
+    names the first diverging tick) against the frozen outputs."""
+    # A JSON round trip gives live values the fixture's exact types.
+    produced = json.loads(json.dumps(CAMPAIGNS[key]()))
+    expected = reference[key]
+    assert len(produced) == len(expected)
+    for index, (got, want) in enumerate(zip(produced, expected)):
+        assert got == want, f"{key}: first divergence at entry {index}"
 
 
 class TestCampaignEquivalence:
-    def test_wordcount_flink(self):
-        graph = flink_wordcount_graph()
-        parallelism = flink_wordcount_initial_parallelism()
-        names = list(parallelism)
-
-        def make_sim(backend):
-            plan = PhysicalPlan(graph, parallelism, max_parallelism=24)
-            return Simulator(
-                plan,
-                FlinkRuntime(),
-                EngineConfig(tick=0.5, cost_jitter=0.1),
-                backend=backend,
-            )
-
-        assert_backends_identical(
-            make_sim,
-            ticks=120,
-            rescale={names[1]: max(1, parallelism[names[1]] - 4)},
-            fail=(names[2], 0),
-        )
+    def test_wordcount_flink(self, reference):
+        assert_matches_reference(reference, "wordcount_flink")
 
     @pytest.mark.parametrize(
         "runtime_cls", [FlinkRuntime, HeronRuntime]
     )
-    def test_nexmark_q5_windowed(self, runtime_cls):
-        query = get_query("Q5")
-        graph = query.flink_graph()
-        parallelism = query.initial_parallelism(graph, 32)
-
-        def make_sim(backend):
-            plan = PhysicalPlan(graph, parallelism, max_parallelism=36)
-            return Simulator(
-                plan,
-                runtime_cls(),
-                EngineConfig(
-                    tick=0.25,
-                    track_record_latency=True,
-                    cost_jitter=0.1,
-                ),
-                backend=backend,
-            )
-
-        assert_backends_identical(
-            make_sim,
-            ticks=150,
-            rescale={"hot_items": 20},
-            fail=("hot_items", 3),
+    def test_nexmark_q5_windowed(self, reference, runtime_cls):
+        assert_matches_reference(
+            reference, f"q5_windowed_{runtime_cls.name}"
         )
 
-    def test_nexmark_q3_timely(self):
-        query = get_query("Q3")
-        graph = query.timely_graph()
-        parallelism = {name: 4 for name in graph.names}
-
-        def make_sim(backend):
-            plan = PhysicalPlan(graph, parallelism, max_parallelism=8)
-            return Simulator(
-                plan, TimelyRuntime(), EngineConfig(tick=0.25),
-                backend=backend,
-            )
-
-        assert_backends_identical(make_sim, ticks=150)
+    def test_nexmark_q3_timely(self, reference):
+        assert_matches_reference(reference, "q3_timely")
 
 
 class TestAccessorEquivalence:
-    """Satellite contract: the observability accessors report the same
-    values mid-campaign on both backends (not only at collections)."""
+    """The observability accessors report the frozen values
+    mid-campaign (not only at collections)."""
 
-    @pytest.fixture()
-    def simulators(self):
-        query = get_query("Q5")
-        graph = query.flink_graph()
-        parallelism = query.initial_parallelism(graph, 16)
-        sims = []
-        for backend in ("object", "vector"):
-            plan = PhysicalPlan(graph, parallelism, max_parallelism=36)
-            sims.append(
-                Simulator(
-                    plan,
-                    FlinkRuntime(),
-                    EngineConfig(tick=0.25, track_record_latency=True),
-                    backend=backend,
-                )
+    def test_accessors_identical_every_tick(self, reference):
+        sim = q5_accessor_simulator()
+        expected = reference["q5_accessors_every_tick"]
+        for tick, want in enumerate(expected):
+            sim.step()
+            got = json.loads(
+                json.dumps(canonical(accessor_fingerprint(sim)))
             )
-        return sims
+            assert got == want, f"first divergence at tick {tick}"
 
-    def test_accessors_identical_every_tick(self, simulators):
-        object_sim, vector_sim = simulators
-        for _ in range(200):
-            object_sim.step()
-            vector_sim.step()
-            assert accessor_fingerprint(
-                object_sim
-            ) == accessor_fingerprint(vector_sim)
-
-    def test_utilization_nonzero_under_load(self, simulators):
-        object_sim, vector_sim = simulators
-        for sim in simulators:
-            sim.run_for(30.0)
-        utilization = vector_sim.utilization("hot_items")
+    def test_utilization_nonzero_under_load(self, reference):
+        sim = q5_accessor_simulator()
+        sim.run_for(30.0)
+        utilization = sim.utilization("hot_items")
         assert 0.0 < utilization <= 1.0
-        assert utilization == object_sim.utilization("hot_items")
+        assert utilization == reference["q5_utilization_after_30s"]
 
-    def test_unknown_operator_rejected_identically(self, simulators):
-        for sim in simulators:
-            with pytest.raises(EngineError):
-                sim.queue_length("nope")
-            with pytest.raises(EngineError):
-                sim.max_fill_fraction("nope")
+    def test_unknown_operator_rejected_identically(self):
+        sim = q5_accessor_simulator()
+        with pytest.raises(EngineError):
+            sim.queue_length("nope")
+        with pytest.raises(EngineError):
+            sim.max_fill_fraction("nope")
 
-    def test_materialized_instances_match(self, simulators):
-        """Poking Simulator._instances (as older tests do) sees the
-        same queues and window state on both backends."""
-        object_sim, vector_sim = simulators
-        for sim in simulators:
-            sim.run_for(20.0)
-        for name in object_sim.graph.topological_order():
-            object_instances = object_sim._instances[name]
-            vector_instances = vector_sim._instances[name]
-            assert len(object_instances) == len(vector_instances)
-            for obj, vec in zip(object_instances, vector_instances):
-                assert obj.iid == vec.iid
-                assert obj.fire_backlog == vec.fire_backlog
-                assert obj.total_queue_length == vec.total_queue_length
-                assert (obj.window is None) == (vec.window is None)
-                if obj.window is not None:
-                    assert obj.window.buffered == vec.window.buffered
-                    assert obj.window.next_fire == vec.window.next_fire
+    def test_materialized_instances_match(self, reference):
+        """Inspecting Simulator._instances sees the frozen queues and
+        window state."""
+        sim = q5_accessor_simulator()
+        sim.run_for(20.0)
+        got = json.loads(json.dumps(materialized_instances(sim)))
+        assert got == reference["q5_materialized_after_20s"]
 
 
 class TestBackendSelection:
-    def test_default_is_object(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert resolve_backend(None) == "object"
-
-    def test_env_selects_vector(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "vector")
-        assert resolve_backend(None) == "vector"
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "vector")
-        assert resolve_backend("object") == "object"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(EngineError):
-            resolve_backend("gpu")
-
-    def test_simulator_reports_backend(self):
-        graph = flink_wordcount_graph()
-        plan = PhysicalPlan(
-            graph,
+    def _plan(self):
+        return PhysicalPlan(
+            flink_wordcount_graph(),
             flink_wordcount_initial_parallelism(),
             max_parallelism=24,
         )
-        sim = Simulator(
-            plan, FlinkRuntime(), EngineConfig(tick=0.5),
-            backend="vector",
-        )
-        assert sim.backend == "vector"
+
+    def test_engine_env_is_ignored(self, monkeypatch, reference):
+        """``REPRO_ENGINE`` selected a tick loop in earlier releases.
+        Tooling still exports it, so it is ignored rather than
+        rejected, and changes nothing."""
+        for value in ("object", "vector", "gpu"):
+            monkeypatch.setenv("REPRO_ENGINE", value)
+            sim = Simulator(
+                self._plan(), FlinkRuntime(), EngineConfig(tick=0.5)
+            )
+            assert isinstance(sim._engine, VectorEngine)
+            assert_matches_reference(reference, "wordcount_flink")
+
+    def test_unknown_backend_rejected(self):
+        """The backend knob is gone: any ``backend=`` is unknown."""
+        with pytest.raises(TypeError):
+            Simulator(
+                self._plan(), FlinkRuntime(), EngineConfig(tick=0.5),
+                backend="vector",
+            )

@@ -392,6 +392,8 @@ def _kill_mid_campaign(checkpoint, jobs_args):
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
         env=_cli_env(),
+        # Its own session: the kill below takes the pool workers too.
+        start_new_session=True,
     )
     deadline = time.monotonic() + POOL_TIMEOUT  # repro: allow[REPRO101] — test timeout guard
     while time.monotonic() < deadline:  # repro: allow[REPRO101]
@@ -401,7 +403,7 @@ def _kill_mid_campaign(checkpoint, jobs_args):
             break  # finished before we could kill it; still resumable
         time.sleep(0.01)
     if process.poll() is None:
-        process.kill()
+        os.killpg(process.pid, signal.SIGKILL)
         process.wait(timeout=60)
 
 
@@ -423,6 +425,74 @@ def test_kill_and_resume_byte_identical(tmp_path, jobs_args):
     assert resumed.returncode == 0, resumed.stderr
     assert resumed.stdout == reference.stdout
     assert "Coverage: 9/9 cells completed" in resumed.stdout
+
+
+def _children(pid):
+    """Pids of live processes whose parent is ``pid`` (Linux /proc)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[0] != "Z" and int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="needs Linux /proc"
+)
+def test_pool_workers_exit_when_parent_is_killed(tmp_path):
+    """SIGKILL of a `--jobs 2` run (the parent only, not its group)
+    leaves no pool worker behind: workers notice the dead parent and
+    exit instead of blocking on the call queue forever."""
+    checkpoint = str(tmp_path / "killed.jsonl")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro"]
+        + CLI_ARGS
+        + ["--jobs", "2", "--checkpoint", checkpoint],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        env=_cli_env(),
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + POOL_TIMEOUT  # repro: allow[REPRO101] — test timeout guard
+        workers = []
+        while time.monotonic() < deadline:  # repro: allow[REPRO101]
+            workers = _children(process.pid)
+            if len(workers) >= 2 and _cell_count(checkpoint) >= 1:
+                break
+            assert process.poll() is None, "run finished before the kill"
+            time.sleep(0.01)
+        assert len(workers) >= 2, "no pool workers appeared"
+        process.kill()
+        process.wait(timeout=60)
+        deadline = time.monotonic() + 30.0  # repro: allow[REPRO101]
+        while time.monotonic() < deadline:  # repro: allow[REPRO101]
+            survivors = [pid for pid in workers if _alive(pid)]
+            if not survivors:
+                break
+            time.sleep(0.05)
+        assert survivors == [], f"orphaned pool workers {survivors}"
+    finally:
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait(timeout=60)
 
 
 def test_kill_and_resume_trace_identical(tmp_path):

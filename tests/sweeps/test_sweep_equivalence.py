@@ -1,10 +1,9 @@
 """Sweep execution equivalence gates.
 
 A sweep's output is a pure function of its spec: byte-identical across
-job counts (serial vs a two-worker pool), across engine backends
-(object vs the struct-of-arrays vector backend), and across
-fresh-vs-SIGKILL-and-resumed runs. The CLI half of this file mirrors
-the chaos kill-and-resume machinery in
+job counts (serial vs a two-worker pool), whatever ``REPRO_ENGINE``
+says, and across fresh-vs-SIGKILL-and-resumed runs. The CLI half of
+this file mirrors the chaos kill-and-resume machinery in
 ``tests/faults/test_checkpoint.py`` — hard-kill ``repro sweep run``
 mid-grid, resume from the journal, demand the same stdout — and is
 also wired into ``scripts/check.sh`` as part of the sweep stage.
@@ -13,6 +12,7 @@ also wired into ``scripts/check.sh`` as part of the sweep stage.
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -21,8 +21,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.engine.npcompat import HAVE_NUMPY
-from repro.engine.vectorized import ENGINE_ENV
+from repro.errors import SweepError
 from repro.sweeps import (
     SweepSpec,
     build_sweep_report,
@@ -50,7 +49,7 @@ def _report_json(result):
 
 
 # ----------------------------------------------------------------------
-# In-process equivalence: jobs, backends
+# In-process equivalence: jobs, engine environment
 # ----------------------------------------------------------------------
 
 def test_serial_vs_jobs2_byte_identical(tmp_path):
@@ -78,44 +77,55 @@ def test_journal_report_matches_live_run(tmp_path):
     assert _report_json(replayed) == _report_json(live)
 
 
-def _two_cell_spec(backend):
-    return SweepSpec.build(
-        "backend-equivalence",
-        axes={
+def test_removed_backend_values_rejected():
+    """The engine has one tick loop: pinning the backend axis (or an
+    explicit cell) to a removed backend fails before any cell runs,
+    naming the removal."""
+    for backend in ("object", "vector"):
+        axes = {
             "profile": ["smoke"],
-            "rate": [1.0],
-            "controller": ["ds2", "dhalion"],
+            "controller": ["ds2"],
             "runtime": ["heron"],
             "backend": [backend],
-        },
-        tick=2.0,
+        }
+        with pytest.raises(SweepError, match="backend.*was removed"):
+            SweepSpec.build("removed-backend", axes=axes)
+        cell = {
+            "profile": "smoke",
+            "rate": 1.0,
+            "controller": "ds2",
+            "runtime": "heron",
+            "backend": backend,
+        }
+        with pytest.raises(SweepError, match="backend.*was removed"):
+            SweepSpec.build("removed-backend", cells=[cell])
+
+
+def test_removed_backend_value_exits_2(tmp_path):
+    spec = tmp_path / "vector.toml"
+    spec.write_text(
+        SPEC_PATH.read_text().replace(
+            "[axes]", '[axes]\nbackend = ["vector"]', 1
+        )
     )
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "sweep", "run",
+         "--spec", str(spec)],
+        capture_output=True, text=True, env=_cli_env(),
+        timeout=POOL_TIMEOUT,
+    )
+    assert done.returncode == 2
+    assert "was removed" in done.stderr
 
 
-@pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vector backend requires numpy"
-)
-def test_object_vs_vector_backend_identical_scorecards():
-    """Pinning the backend axis to 'object' vs 'vector' changes only
-    the cell labels, never a single scorecard float."""
-    object_run = run_sweep(_two_cell_spec("object"))
-    vector_run = run_sweep(_two_cell_spec("vector"))
-    assert _cards_as_dicts(object_run) == _cards_as_dicts(vector_run)
-
-
-@pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vector backend requires numpy"
-)
 def test_default_backend_byte_identical_across_engine_env(monkeypatch):
-    """With the backend axis left at 'default', the REPRO_ENGINE
-    environment picks the engine — and must not change the report by
-    a byte (the same spec fingerprint covers both)."""
+    """``REPRO_ENGINE`` selected a tick loop in earlier releases; it
+    is now ignored (not rejected — older tooling still exports it) and
+    must not change the report by a byte."""
     spec = load_spec(str(SPEC_PATH))
-    monkeypatch.setenv(ENGINE_ENV, "object")
-    object_report = _report_json(run_sweep(spec))
-    monkeypatch.setenv(ENGINE_ENV, "vector")
-    vector_report = _report_json(run_sweep(spec))
-    assert vector_report == object_report
+    for engine in ("object", "vector"):
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        assert _report_json(run_sweep(spec)) == GOLDEN_PATH.read_text()
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +177,8 @@ def _kill_mid_grid(checkpoint, jobs_args):
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
         env=_cli_env(),
+        # Its own session: the kill below takes the pool workers too.
+        start_new_session=True,
     )
     deadline = time.monotonic() + POOL_TIMEOUT  # repro: allow[REPRO101] — test timeout guard
     while time.monotonic() < deadline:  # repro: allow[REPRO101]
@@ -176,7 +188,7 @@ def _kill_mid_grid(checkpoint, jobs_args):
             break  # finished before we could kill it; still resumable
         time.sleep(0.01)
     if process.poll() is None:
-        process.kill()
+        os.killpg(process.pid, signal.SIGKILL)
         process.wait(timeout=60)
 
 

@@ -12,8 +12,6 @@ import threading
 
 import pytest
 
-from repro.engine.npcompat import HAVE_NUMPY
-from repro.engine.vectorized import ENGINE_ENV
 from repro.errors import TelemetryError
 from repro.faults.campaigns import (
     PROFILES,
@@ -176,15 +174,36 @@ class TestAmbientProfiler:
         assert null.tree().children == {}
 
 
-def _smoke_structure(jobs=None, backend=None, monkeypatch=None):
+#: Span structure of the 2-campaign smoke batch, recorded from the
+#: per-instance object tick loop before the engine became one
+#: struct-of-arrays loop (the structure was gated equal across both).
+SMOKE_STRUCTURE = {
+    "name": "root",
+    "count": 0,
+    "children": [
+        {
+            "name": "controller.decide",
+            "count": 24,
+            "children": [
+                {"name": "metrics.collect", "count": 24, "children": []},
+            ],
+        },
+        {
+            "name": "engine.tick",
+            "count": 720,
+            "children": [
+                {"name": "engine.allocate", "count": 498, "children": []},
+            ],
+        },
+        {"name": "fault.fire", "count": 6, "children": []},
+    ],
+}
+
+
+def _smoke_structure(jobs=None):
     """Span structure of the 2-campaign smoke chaos batch."""
     from repro.experiments.chaos import resolve_workload
 
-    if monkeypatch is not None:
-        if backend is None:
-            monkeypatch.delenv(ENGINE_ENV, raising=False)
-        else:
-            monkeypatch.setenv(ENGINE_ENV, backend)
     runner = resolve_workload("wordcount").runner(2.0)
     generator = CampaignGenerator(
         PROFILES["smoke"],
@@ -203,47 +222,25 @@ def _smoke_structure(jobs=None, backend=None, monkeypatch=None):
 
 
 class TestSpanDeterminism:
-    def test_identical_seeds_identical_structure(self, monkeypatch):
-        first = _smoke_structure(monkeypatch=monkeypatch)
-        second = _smoke_structure(monkeypatch=monkeypatch)
+    def test_identical_seeds_identical_structure(self):
+        first = _smoke_structure()
+        second = _smoke_structure()
         assert first == second
         names = {c["name"] for c in first["children"]}
         assert "engine.tick" in names
         assert "controller.decide" in names
 
-    def test_serial_matches_jobs_2(self, monkeypatch):
-        serial = _smoke_structure(monkeypatch=monkeypatch)
-        parallel = _smoke_structure(jobs=2, monkeypatch=monkeypatch)
+    def test_serial_matches_jobs_2(self):
+        serial = _smoke_structure()
+        parallel = _smoke_structure(jobs=2)
         assert serial == parallel
 
-    @pytest.mark.skipif(
-        not HAVE_NUMPY, reason="vector backend requires numpy"
-    )
-    def test_object_matches_vector_backend(self, monkeypatch):
-        object_tree = _smoke_structure(
-            backend="object", monkeypatch=monkeypatch
-        )
-        vector_tree = _smoke_structure(
-            backend="vector", monkeypatch=monkeypatch
-        )
-        assert object_tree == vector_tree
+    def test_structure_matches_frozen_reference(self):
+        assert _smoke_structure() == SMOKE_STRUCTURE
 
-    @pytest.mark.skipif(
-        not HAVE_NUMPY, reason="vector backend requires numpy"
-    )
-    def test_vector_serial_matches_vector_jobs_2(self, monkeypatch):
-        serial = _smoke_structure(
-            backend="vector", monkeypatch=monkeypatch
-        )
-        parallel = _smoke_structure(
-            jobs=2, backend="vector", monkeypatch=monkeypatch
-        )
-        assert serial == parallel
-
-    def test_disabled_profiler_records_nothing(self, monkeypatch):
+    def test_disabled_profiler_records_nothing(self):
         from repro.experiments.chaos import resolve_workload
 
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
         runner = resolve_workload("wordcount").runner(2.0)
         generator = CampaignGenerator(
             PROFILES["smoke"],
