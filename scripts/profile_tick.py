@@ -10,7 +10,11 @@ Produces the committed performance artifact that backs
   chaos campaigns and sweeps run), so regressions show up as a changed
   ranking rather than a vague slowdown;
 * ticks/second on Q5 across a parallelism sweep, showing how the
-  per-tick cost grows with the instance count.
+  per-tick cost grows with the instance count;
+* the Dhalion Figure 1 run (``run_dhalion()``, Heron wordcount grown
+  to 27 x 45 instances): how many of its ticks replay the previous
+  tick instead of running the operator loop, and the microseconds per
+  replayed tick against a tick that runs the loop.
 
 Usage::
 
@@ -31,13 +35,15 @@ import os
 import pathlib
 import pstats
 import re
+import statistics
 import sys
 import time
-from typing import Callable, List
+from typing import Callable, Dict, List
 
 from repro.dataflow.physical import PhysicalPlan
 from repro.engine.runtimes import FlinkRuntime
-from repro.engine.simulator import EngineConfig, Simulator
+from repro.engine.simulator import EngineConfig, Simulator, TickStats
+from repro.experiments.comparison import run_dhalion
 from repro.workloads.nexmark import get_query
 from repro.workloads.wordcount import flink_wordcount_graph
 
@@ -75,7 +81,10 @@ def wide_simulator(slots: int = WIDE_SLOTS) -> Simulator:
 
 
 def narrow_simulator() -> Simulator:
-    """The wordcount job at two instances per operator."""
+    """The wordcount job at two instances per operator. Without noise
+    it settles into a backpressured steady state whose ticks all
+    replay the previous one; cost jitter keeps every tick on the
+    operator loop, whose per-operator cost this table ranks."""
     graph = flink_wordcount_graph()
     plan = PhysicalPlan(
         graph, {name: 2 for name in graph.names}, max_parallelism=8
@@ -83,7 +92,9 @@ def narrow_simulator() -> Simulator:
     return Simulator(
         plan,
         FlinkRuntime(),
-        EngineConfig(tick=0.25, track_record_latency=True),
+        EngineConfig(
+            tick=0.25, track_record_latency=True, cost_jitter=0.05
+        ),
     )
 
 
@@ -127,6 +138,44 @@ def throughput_table(seconds: float) -> str:
     return "\n".join(rows)
 
 
+def dhalion_replay_table() -> str:
+    """Step times of the Dhalion Figure 1 run by kind of tick: those
+    that replayed the previous tick, those that ran the operator loop,
+    and outage ticks (the job down for a redeploy)."""
+    durations: Dict[str, List[float]] = {
+        "replayed": [], "loop": [], "outage": []
+    }
+    step = Simulator.step
+
+    def timed_step(sim: Simulator) -> TickStats:
+        replayed = sim.replayed_ticks
+        start = time.perf_counter()  # repro: allow[REPRO101]
+        stats = step(sim)
+        elapsed = time.perf_counter() - start  # repro: allow[REPRO101]
+        if stats.in_outage:
+            kind = "outage"
+        elif sim.replayed_ticks > replayed:
+            kind = "replayed"
+        else:
+            kind = "loop"
+        durations[kind].append(elapsed)
+        return stats
+
+    Simulator.step = timed_step  # type: ignore[method-assign]
+    try:
+        run_dhalion()
+    finally:
+        Simulator.step = step  # type: ignore[method-assign]
+    rows = [f"{'ticks':<10} {'count':>6} {'median us':>10} {'total s':>8}"]
+    for kind, values in durations.items():
+        median = statistics.median(values) * 1e6 if values else 0.0
+        rows.append(
+            f"{kind:<10} {len(values):>6} {median:>10.1f} "
+            f"{sum(values):>8.3f}"
+        )
+    return "\n".join(rows)
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -149,6 +198,14 @@ def main(argv: List[str]) -> int:
             f"== cProfile: {label} ({virtual:.0f}s virtual) ==\n"
             + profile_cell(build, virtual)
         )
+    print("timing the Dhalion Figure 1 run ...", flush=True)
+    sections.append(
+        "== Dhalion Figure 1 (run_dhalion: Heron wordcount, 8,000 ticks, "
+        "1x1 -> 27x45).\nreplayed = ticks proven to repeat the previous "
+        "tick, which re-apply its\nincrements instead of running the "
+        "operator loop; loop = every other active\ntick. "
+        f"{os.cpu_count()} cores. ==\n" + dhalion_replay_table()
+    )
     print("measuring throughput ...", flush=True)
     sections.append(
         "== Throughput, Nexmark Q5 (Flink runtime, tick=0.25s, record "

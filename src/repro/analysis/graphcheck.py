@@ -240,10 +240,14 @@ def graph_spec_from_json(
                 )
             else:
                 data = json.loads(data)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise AnalysisError(
             f"could not load graph spec: {exc}"
         ) from exc
+    except RecursionError:
+        raise AnalysisError(
+            "could not load graph spec: JSON nested too deeply"
+        ) from None
     if not isinstance(data, Mapping):
         raise AnalysisError("graph spec must be a JSON object")
     operators = data.get("operators")
@@ -264,14 +268,23 @@ def graph_spec_from_json(
             raise AnalysisError(
                 f"operator #{index} must be an object with a 'name'"
             )
+        name = str(raw["name"])
+        data_parallel = raw.get("data_parallel", True)
+        if not isinstance(data_parallel, bool):
+            raise AnalysisError(
+                f"operator {name!r}: 'data_parallel' must be true or "
+                f"false, got {data_parallel!r}"
+            )
         nodes.append(NodeSpec(
-            name=str(raw["name"]),
+            name=name,
             kind=str(raw.get("kind", "map")),
-            selectivity=float(raw.get("selectivity", 1.0)),
-            max_rate=(
-                float(raw["rate"]) if "rate" in raw else None
+            selectivity=_number(
+                name, "selectivity", raw.get("selectivity", 1.0)
             ),
-            data_parallel=bool(raw.get("data_parallel", True)),
+            max_rate=(
+                _number(name, "rate", raw["rate"]) if "rate" in raw else None
+            ),
+            data_parallel=data_parallel,
         ))
     edge_pairs: List[Tuple[str, str]] = []
     for index, raw_edge in enumerate(edges):
@@ -289,6 +302,24 @@ def graph_spec_from_json(
         edges=tuple(edge_pairs),
         name=str(data.get("name", "graph")),
     )
+
+
+def _number(operator: str, field_name: str, value: object) -> float:
+    """An operator field's ``value`` as a float. A JSON number is
+    required, so strings, lists and booleans raise
+    :class:`AnalysisError` naming the operator and the field. Range
+    problems (negative, NaN) are left for :func:`check_graph`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise AnalysisError(
+            f"operator {operator!r}: {field_name!r} must be a number, "
+            f"got {value!r}"
+        )
+    try:
+        return float(value)
+    except OverflowError:
+        raise AnalysisError(
+            f"operator {operator!r}: {field_name!r} is too large"
+        ) from None
 
 
 # ----------------------------------------------------------------------

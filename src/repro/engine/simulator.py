@@ -26,7 +26,9 @@ and are consumed on the next tick (one tick of pipeline delay per hop).
 The per-instance state and work live in
 :class:`~repro.engine.vectorized.VectorEngine` (struct-of-arrays); this
 module keeps the orchestration: tick order, outages, reconfiguration,
-telemetry, and the observations handed to controllers.
+telemetry, and the observations handed to controllers. An active tick
+that provably repeats the previous one replays that tick's increments
+instead of running the operator loop (:meth:`VectorEngine.repeats`).
 """
 
 from __future__ import annotations
@@ -211,6 +213,10 @@ class Simulator:
         }
         self._window_started = 0.0
         self._last_stats: Optional[TickStats] = None
+        # Queue lengths and backpressured operators of the current
+        # state arrays; reset whenever the loop runs or a plan deploys.
+        self._view: Optional[Tuple[Dict[str, float], Tuple[str, ...]]] = None
+        self._replayed_ticks = 0
         self._rng = random.Random(self._config.seed)
         # Per-operator cost-noise factors for the current tick.
         self._jitter: Dict[str, float] = {
@@ -294,6 +300,13 @@ class Simulator:
     def registry(self) -> MetricsRegistry:
         """The metrics registry this simulator reports into."""
         return self._registry
+
+    @property
+    def replayed_ticks(self) -> int:
+        """Active ticks that replayed the previous tick's increments
+        instead of running the operator loop (see
+        :meth:`VectorEngine.repeats`)."""
+        return self._replayed_ticks
 
     @property
     def last_stats(self) -> Optional[TickStats]:
@@ -509,6 +522,7 @@ class Simulator:
             return
         if self._pending_plan is None:
             self._pending_plan = self._plan
+        self._engine.forget_tick()
         self._outage_until = max(
             self._outage_until, self._time + seconds
         )
@@ -567,6 +581,7 @@ class Simulator:
         """(Re)build instance state for ``plan``, preserving in-flight
         records and window buffers from the previous deployment."""
         self._engine.deploy(plan)
+        self._view = None
         self._plan = plan
         self._metrics.register_instances(plan.all_instances())
 
@@ -579,15 +594,18 @@ class Simulator:
             return 1.0 + self._runtime.instrumentation_overhead
         return 1.0
 
-    def _refresh_jitter(self) -> None:
-        """Draw this tick's per-operator cost-noise factors."""
+    def _refresh_jitter(self) -> bool:
+        """Draw this tick's per-operator cost-noise factors; returns
+        whether every factor equals the previous tick's."""
         amplitude = self._config.cost_jitter
         if amplitude <= 0:
-            return
+            return True
+        previous = list(self._jitter.values())
         for name in self._jitter:
             self._jitter[name] = 1.0 + self._rng.uniform(
                 -amplitude, amplitude
             )
+        return list(self._jitter.values()) == previous
 
     # ------------------------------------------------------------------
     # Simulation
@@ -644,6 +662,7 @@ class Simulator:
     def _outage_tick(self, dt: float) -> TickStats:
         """One tick while the job is down for reconfiguration: nothing
         processes; sources accumulate external backlog."""
+        self._engine.forget_tick()
         desired: Dict[str, float] = {}
         for name in self._graph.sources():
             schedule = self._graph.operator(name).rate
@@ -661,18 +680,19 @@ class Simulator:
             self._epoch_latency.observe_tick(
                 now=self._time, source_emitted={}, sink_consumed={}
             )
+        queue_lengths, backpressured = self._tick_view()
         return TickStats(
             time=self._time,
             source_emitted={name: 0.0 for name in desired},
             source_desired=desired,
             sink_consumed={name: 0.0 for name in self._graph.sinks()},
-            queue_lengths=self._queue_lengths(),
-            backpressured=self._engine.backpressured(),
+            queue_lengths=queue_lengths,
+            backpressured=backpressured,
             in_outage=True,
         )
 
     def _active_tick(self, dt: float) -> TickStats:
-        self._refresh_jitter()
+        jitter_repeats = self._refresh_jitter()
         engine = self._engine
         profiled = self._profiler.enabled
         if profiled:
@@ -684,14 +704,22 @@ class Simulator:
         finally:
             if profiled:
                 self._profiler.exit("engine.allocate")
-        source_emitted, source_desired, consumed = engine.run_tick(
-            budgets, dt, self._time + dt
-        )
+        end_time = self._time + dt
+        if engine.repeats(budgets, dt, end_time) and jitter_repeats:
+            source_emitted, source_desired, consumed = engine.replay_tick(
+                dt, end_time
+            )
+            self._replayed_ticks += 1
+        else:
+            source_emitted, source_desired, consumed = engine.run_tick(
+                budgets, dt, end_time
+            )
+            self._view = None
         for name, emitted in source_emitted.items():
             self._window_source_emitted[name] += emitted
         sink_consumed = {name: consumed[name] for name in self._graph.sinks()}
         self._observe_latency(dt, source_emitted, sink_consumed)
-        backpressured = engine.backpressured()
+        queue_lengths, backpressured = self._tick_view()
         for name in backpressured:
             self._window_bp_seconds[name] += dt
         self._metrics.advance(dt)
@@ -704,15 +732,25 @@ class Simulator:
             source_emitted=source_emitted,
             source_desired=source_desired,
             sink_consumed=sink_consumed,
-            queue_lengths=self._queue_lengths(),
+            queue_lengths=queue_lengths,
             backpressured=backpressured,
             in_outage=False,
         )
 
-    def _queue_lengths(self) -> Dict[str, float]:
-        """Pending records per operator, in graph declaration order."""
-        pending = self._engine.pending_by_operator()
-        return {name: pending[name] for name in self._graph.names}
+    def _tick_view(self) -> Tuple[Dict[str, float], Tuple[str, ...]]:
+        """Pending records per operator (graph declaration order) and
+        the backpressured operators. Both read only the state arrays,
+        so they are rebuilt only after the loop has run or a plan was
+        deployed; replayed and outage ticks reuse them."""
+        view = self._view
+        if view is None:
+            pending = self._engine.pending_by_operator()
+            view = self._view = (
+                {name: pending[name] for name in self._graph.names},
+                self._engine.backpressured(),
+            )
+            return view
+        return dict(view[0]), view[1]
 
     # ------------------------------------------------------------------
     # Latency

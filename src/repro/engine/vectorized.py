@@ -50,6 +50,13 @@ operation replays that loop's scalar float64 operations exactly:
   with ``np.cumsum`` over ``[base, amounts...]`` (cumsum is sequential
   by definition); columns where a bounded queue would clamp an
   individual push fall back to an exact scalar replay.
+
+**Tick replay.** A tick whose inputs are byte-equal to the previous
+tick's (:meth:`VectorEngine.repeats`) is not run again: its state
+arrays would come out unchanged, so :meth:`VectorEngine.replay_tick`
+only re-applies the previous tick's increments to the cumulative
+counters, with the float operations the loop performs. See
+``docs/engine.md`` for the predicate.
 """
 
 # repro: equivalence-sensitive — outputs are frozen bit for bit; reductions
@@ -57,6 +64,7 @@ operation replays that loop's scalar float64 operations exactly:
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -79,6 +87,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _array_max = np.maximum.reduce
 _array_min = np.minimum.reduce
 _array_any = np.logical_or.reduce
+
+#: Packs a source's (rate, want) for bitwise comparison.
+_pack_key = struct.Struct("dd").pack
 
 
 @dataclass
@@ -125,9 +136,23 @@ class _Instance:
 class _Route:
     """One edge of the deployed plan seen from its upstream operator:
     the downstream block, the port row the edge feeds, and scratch
-    buffers for replaying the pushes of ``upstream`` instances."""
+    buffers for replaying the pushes of ``upstream`` instances.
 
-    __slots__ = ("dop", "k", "all_positive", "positive", "buf", "partials")
+    After a tick, the pushes it made (what
+    :meth:`VectorEngine.replay_tick` adds to ``q_pushed``) are
+    ``buf[1:]`` — or ``added`` for a single upstream instance — except
+    in the ``clamped`` columns, which list what each push accepted."""
+
+    __slots__ = (
+        "dop",
+        "k",
+        "all_positive",
+        "positive",
+        "buf",
+        "partials",
+        "added",
+        "clamped",
+    )
 
     def __init__(self, dop: "_OpState", k: int, upstream: int) -> None:
         self.dop = dop
@@ -140,6 +165,8 @@ class _Route:
         shape = (upstream + 1, dop.parallelism)
         self.buf: FloatArray = np.empty(shape, dtype=np.float64)
         self.partials: FloatArray = np.empty(shape, dtype=np.float64)
+        self.added: FloatArray = np.zeros(dop.parallelism)
+        self.clamped: List[Tuple[int, List[float]]] = []
 
 
 class _OpState:
@@ -170,6 +197,11 @@ class _OpState:
         "assign_base",
         "fire_base",
         "selectivity",
+        "popped",
+        "processed",
+        "rate",
+        "want",
+        "fraction",
     )
 
     def __init__(
@@ -204,6 +236,15 @@ class _OpState:
         self.assign_base = 0.0
         self.fire_base = 0.0
         self.selectivity = spec.selectivity.ratio
+        # The last tick's increments and inputs, for tick replay: the
+        # records removed from each port (None when nothing was
+        # popped), the per-instance records processed, a source's rate
+        # and capped request, and a staggered window's release fraction.
+        self.popped: Optional[FloatArray] = None
+        self.processed: List[float] = []
+        self.rate = 0.0
+        self.want = 0.0
+        self.fraction = 0.0
 
     def max_fill(self) -> float:
         """Worst port occupancy across instances (0 when unbounded or
@@ -231,7 +272,10 @@ class VectorEngine:
         self._reverse_order: List[_OpState] = []
         self._bounded: List[_OpState] = []
         self._instances = 0
-        self._q_len: FloatArray = np.zeros(1, dtype=np.float64)
+        # q_len, fire_backlog and win_buffered are views into one
+        # array, so one ``tobytes`` snapshots a tick's starting state.
+        self._state: FloatArray = np.zeros(1, dtype=np.float64)
+        self._q_len: FloatArray = self._state
         self._q_pushed: FloatArray = np.zeros(0, dtype=np.float64)
         self._q_popped: FloatArray = np.zeros(0, dtype=np.float64)
         self._fire_backlog: FloatArray = np.zeros(0, dtype=np.float64)
@@ -243,6 +287,17 @@ class VectorEngine:
         self._port_gathers: List[npt.NDArray[np.intp]] = []
         # Queue totals per instance at the start of the current tick.
         self._tick_totals: FloatArray = np.zeros(0, dtype=np.float64)
+        self._sources: List[_OpState] = []
+        self._windows: List[_OpState] = []
+        # Tick replay (see repeats): the previous active tick's starting
+        # state and budgets, whether a window fired in the last loop
+        # run, and that run's (emitted, desired, consumed).
+        self._start_state: Optional[bytes] = None
+        self._budgets: Dict[str, FloatArray] = {}
+        self._fired = False
+        self._result: Tuple[
+            Dict[str, float], Dict[str, float], Dict[str, float]
+        ] = ({}, {}, {})
 
     # ------------------------------------------------------------------
     # Deployment
@@ -295,11 +350,12 @@ class VectorEngine:
             rows = op.row_stop
             slots += len(op.ports) * parallelism
             ops[name] = op
-        q_len = np.zeros(slots + 1, dtype=np.float64)
+        state = np.zeros(slots + 1 + 2 * rows, dtype=np.float64)
+        q_len = state[:slots + 1]
         q_pushed = np.zeros(slots, dtype=np.float64)
         q_popped = np.zeros(slots, dtype=np.float64)
-        fire_backlog = np.zeros(rows, dtype=np.float64)
-        win_buffered = np.zeros(rows, dtype=np.float64)
+        fire_backlog = state[slots + 1:slots + 1 + rows]
+        win_buffered = state[slots + 1 + rows:]
         counters = np.zeros((3, rows), dtype=np.float64)
         max_ports = max((len(op.ports) for op in ops.values()), default=0)
         gathers = [
@@ -369,7 +425,13 @@ class VectorEngine:
         self._bounded = [
             op for op in ops.values() if op.ports and op.capacity is not None
         ]
+        self._sources = [op for op in ops.values() if op.spec.is_source]
+        self._windows = [
+            op for op in ops.values() if op.win_buffered is not None
+        ]
         self._instances = rows
+        self._state = state
+        self._start_state = None
         self._q_len = q_len
         self._q_pushed = q_pushed
         self._q_popped = q_popped
@@ -593,7 +655,8 @@ class VectorEngine:
         space seen at that step; before the first clamp the unclamped
         running sums are the true lengths, so the clamp test is exact,
         and clamped columns (backpressure epsilon cases) are replayed
-        scalar-exactly instead.
+        scalar-exactly instead. The route keeps what the pushes
+        accepted for :meth:`replay_tick` (see :class:`_Route`).
         """
         for route in op.routes:
             dop = route.dop
@@ -601,13 +664,14 @@ class VectorEngine:
             base_pushed = dop.q_pushed[route.k]
             capacity = dop.capacity
             fixes: List[Tuple[int, float, float]] = []
+            route.clamped = []
             if op.parallelism == 1:
-                added = emits[0] * dop.weights
+                added = route.added = emits[0] * dop.weights
                 if capacity is not None:
                     over = added > np.maximum(0.0, capacity - base_len)
                     if _array_any(over):
                         fixes = self._replay_clamped(
-                            dop, route.k, over, added[None, :]
+                            route, over, added[None, :]
                         )
                 base_len += added
                 base_pushed += added
@@ -622,7 +686,7 @@ class VectorEngine:
                     over = amounts > free
                     if _array_any(over, axis=None):
                         fixes = self._replay_clamped(
-                            dop, route.k, over.any(axis=0), amounts
+                            route, over.any(axis=0), amounts
                         )
                 base_len[:] = partials[-1]
                 buf[0] = base_pushed
@@ -634,18 +698,23 @@ class VectorEngine:
 
     @staticmethod
     def _replay_clamped(
-        dop: _OpState, k: int, clamped: FloatArray, amounts: FloatArray
+        route: _Route, clamped: FloatArray, amounts: FloatArray
     ) -> List[Tuple[int, float, float]]:
         """Scalar replay of the sequential bounded pushes of ``amounts``
         (one row per upstream instance) into the ``clamped`` columns of
-        port row ``k``; returns each column's (length, pushed) after."""
+        the route's port row; returns each column's (length, pushed)
+        after and records what each push accepted in
+        ``route.clamped``."""
+        dop = route.dop
+        k = route.k
         capacity = dop.capacity
         assert capacity is not None
         fixes = []
         for j in np.flatnonzero(clamped).tolist():
             length = float(dop.q_len[k, j])
             pushed = float(dop.q_pushed[k, j])
-            for amount in amounts[:, j].tolist():
+            column = amounts[:, j].tolist()
+            for i, amount in enumerate(column):
                 accepted = min(amount, max(0.0, capacity - length))
                 length += accepted
                 pushed += accepted
@@ -655,6 +724,8 @@ class VectorEngine:
                         f"{InstanceId(dop.name, j)}: the downstream "
                         "limit computation is inconsistent"
                     )
+                column[i] = accepted
+            route.clamped.append((j, column))
             fixes.append((j, length, pushed))
         return fixes
 
@@ -669,6 +740,7 @@ class VectorEngine:
         A single-port instance pops ``min(amount, length)``: its
         proportional share is ``amount * (length / length)``, exactly
         ``amount``."""
+        op.popped = None
         if not op.ports:
             return np.zeros(op.parallelism, dtype=np.float64)
         queues = op.q_len
@@ -676,6 +748,7 @@ class VectorEngine:
             removed_row = np.minimum(amounts, queues[0])
             queues[0] -= removed_row
             op.q_popped[0] += removed_row
+            op.popped = removed_row
             return removed_row
         active = (amounts > 0) & (totals > 0)
         if not bool(active.any()):
@@ -701,6 +774,7 @@ class VectorEngine:
             new_len = np.where(negative, 0.0, new_len)
         queues[:] = new_len
         op.q_popped[:] += removed
+        op.popped = removed
         popped = np.zeros(op.parallelism, dtype=np.float64)
         for k in range(len(op.ports)):
             popped = popped + removed[k]
@@ -738,6 +812,7 @@ class VectorEngine:
         emitted: Dict[str, float] = {}
         desired: Dict[str, float] = {}
         consumed: Dict[str, float] = {}
+        self._fired = False
         for op in self._reverse_order:
             name = op.name
             if op.spec.is_source:
@@ -748,6 +823,13 @@ class VectorEngine:
                 consumed[name] = self.run_operator(
                     name, op.spec, budgets[name], dt, end_time
                 )
+        self._record_counters(dt)
+        self._result = (emitted, desired, consumed)
+        return emitted, desired, consumed
+
+    def _record_counters(self, dt: float) -> None:
+        """Add the staged counters of every instance to the metrics
+        accumulator (one block, one add per instance)."""
         counters = self._counters
         useful = np.minimum(counters[2], dt)
         self._sim.metrics_manager.record_block(
@@ -758,7 +840,137 @@ class VectorEngine:
             useful=useful,
             waiting=np.maximum(0.0, dt - useful),
         )
-        return emitted, desired, consumed
+
+    def repeats(
+        self, budgets: Dict[str, FloatArray], dt: float, end_time: float
+    ) -> bool:
+        """Whether this tick provably repeats the previous one, so
+        :meth:`replay_tick` may stand in for :meth:`run_tick`.
+
+        Called once at the start of every active tick (it snapshots the
+        starting state and ``budgets`` for the next call). It holds when
+        the previous tick ran on this deployment and this tick's inputs
+        equal that tick's: the state arrays byte for byte, the budgets,
+        each source's rate and capped ``want`` (the backlog reaches the
+        tick only through ``want``), no window fire in either tick and
+        unchanged staggered release fractions. The simulator adds the
+        cost-jitter condition. The previous tick then mapped the state
+        onto itself, so this one would again.
+        """
+        start = self._state.tobytes()
+        previous, self._start_state = self._start_state, start
+        previous_budgets, self._budgets = self._budgets, budgets
+        if start != previous or self._fired:
+            return False
+        for op in self._windows:
+            spec = op.spec.window
+            assert spec is not None
+            if spec.staggered:
+                elapsed = max(0.0, end_time - op.win_last_check)
+                if min(1.0, elapsed / spec.fire_interval) != op.fraction:
+                    return False
+            elif op.win_next_fire <= end_time:
+                return False
+        for op in self._sources:
+            rate, _, _, want = self._source_request(op, dt)
+            if _pack_key(rate, want) != _pack_key(op.rate, op.want):
+                return False
+        for name, budget in budgets.items():
+            before = previous_budgets[name]
+            if budget is before:
+                # A writable array handed back twice may have been
+                # refilled in place: nothing proves it unchanged.
+                if budget.flags.writeable:
+                    return False
+            elif budget.tobytes() != before.tobytes():
+                return False
+        return True
+
+    def forget_tick(self) -> None:
+        """Make the next active tick run the loop (the job went down,
+        so that tick does not follow an active tick)."""
+        self._start_state = None
+
+    def _source_request(
+        self, op: _OpState, dt: float
+    ) -> Tuple[float, float, float, float]:
+        """A source's ``(rate, desired, available, want)`` this tick.
+
+        A source may drain its external backlog at up to
+        ``source_catchup_factor`` times its target rate, so it asks for
+        ``want = min(available, max(cap, desired))`` records."""
+        sim = self._sim
+        schedule = op.spec.rate
+        assert schedule is not None
+        rate = schedule.rate_at(sim.time)
+        desired = rate * dt
+        available = desired + sim.source_backlog(op.name)
+        cap = desired * sim.config.source_catchup_factor
+        return rate, desired, available, min(available, max(cap, desired))
+
+    def replay_tick(
+        self, dt: float, end_time: float
+    ) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, float]]:
+        """Stand-in for :meth:`run_tick` on a tick :meth:`repeats`
+        proved equal to the previous one: the state arrays stay as they
+        are, and the cumulative counters take the previous tick's
+        increments with the operations the loop performs —
+        ``np.add.accumulate`` over ``[q_pushed, accepted amounts...]``,
+        one add of the removed records to ``q_popped``, the state
+        model's per-instance sequence, the source backlog update and
+        the metrics block. Returns the previous tick's
+        (emitted, desired, consumed)."""
+        sim = self._sim
+        profiler = sim._profiler
+        emitted, desired, consumed = self._result
+        for op in self._reverse_order:
+            name = op.name
+            if op.spec.is_source:
+                available = desired[name] + sim.source_backlog(name)
+                sim._source_backlog[name] = max(
+                    0.0, available - emitted[name]
+                )
+            elif op.win_buffered is not None and profiler.enabled:
+                with profiler.span("engine.window_fire"):
+                    self._replay_operator(op, end_time)
+            else:
+                self._replay_operator(op, end_time)
+            for route in op.routes:
+                self._replay_pushes(route, op.parallelism)
+        self._record_counters(dt)
+        return dict(emitted), dict(desired), dict(consumed)
+
+    @staticmethod
+    def _replay_pushes(route: _Route, upstream: int) -> None:
+        """Add the route's last pushes to ``q_pushed`` as
+        :meth:`_emit` did: one add for a single upstream instance, else
+        a running sum over ``[q_pushed, amounts...]``; clamped columns
+        replay their accepted amounts one scalar add at a time."""
+        pushed = route.dop.q_pushed[route.k]
+        fixes = []
+        for j, column in route.clamped:
+            value = float(pushed[j])
+            for accepted in column:
+                value += accepted
+            fixes.append((j, value))
+        if upstream == 1:
+            pushed += route.added
+        else:
+            buf = route.buf
+            buf[0] = pushed
+            pushed[:] = np.add.accumulate(buf, axis=0, out=route.partials)[-1]
+        for j, value in fixes:
+            pushed[j] = value
+
+    def _replay_operator(self, op: _OpState, end_time: float) -> None:
+        """A non-source operator's share of :meth:`replay_tick`."""
+        if op.popped is not None:
+            op.q_popped += op.popped
+        if op.win_buffered is not None:
+            assert op.spec.window is not None
+            if op.spec.window.staggered:
+                op.win_last_check = end_time
+        self._sim.state_model.record_processed_block(op.name, op.processed)
 
     def run_source(
         self,
@@ -770,19 +982,15 @@ class VectorEngine:
         """Generate and emit source records; returns
         ``(emitted, desired)``.
 
-        A source may drain its external backlog at up to
-        ``source_catchup_factor`` times its target rate. Each instance
-        generates an equal share of the stream, and the shared
-        downstream space is divided fairly among them."""
+        The source asks for ``want`` records (see
+        :meth:`_source_request`). Each instance generates an equal share
+        of the stream, and the shared downstream space is divided fairly
+        among them."""
         sim = self._sim
         op = self._ops[name]
-        schedule = spec.rate
-        assert schedule is not None
-        rate = schedule.rate_at(sim.time)
-        desired = rate * dt
-        available = desired + sim.source_backlog(name)
-        cap = desired * sim.config.source_catchup_factor
-        want = min(available, max(cap, desired))
+        rate, desired, available, want = self._source_request(op, dt)
+        op.rate = rate
+        op.want = want
         if sim.runtime.sources_blocked_by_backpressure:
             space = self._downstream_limit(op)
         else:
@@ -854,7 +1062,7 @@ class VectorEngine:
             pushed = processed * selectivity
             self._emit(op, pushed)
         self._stage(op, processed, pushed, processed * unit_cost)
-        processed_list = processed.tolist()
+        processed_list = op.processed = processed.tolist()
         sim.state_model.record_processed_block(name, processed_list)
         consumed_total = 0.0
         for value in processed_list:
@@ -924,7 +1132,9 @@ class VectorEngine:
         if window_spec.staggered:
             elapsed = max(0.0, end_time - op.win_last_check)
             op.win_last_check = end_time
-            fraction = min(1.0, elapsed / window_spec.fire_interval)
+            fraction = op.fraction = min(
+                1.0, elapsed / window_spec.fire_interval
+            )
             released = buffered * fraction
             buffered = buffered - released
             backlog += released
@@ -936,6 +1146,7 @@ class VectorEngine:
                 next_fire += window_spec.fire_interval
             op.win_next_fire = next_fire
             if fires:
+                self._fired = True
                 backlog += buffered
                 buffered = np.zeros(op.parallelism, dtype=np.float64)
             else:
@@ -944,7 +1155,7 @@ class VectorEngine:
         self._stage(
             op, assigned, emit, fired * fire_cost + assigned * assign_cost
         )
-        assigned_list = assigned.tolist()
+        assigned_list = op.processed = assigned.tolist()
         sim.state_model.record_processed_block(op.name, assigned_list)
         consumed_total = 0.0
         for value in assigned_list:

@@ -495,7 +495,7 @@ class CheckpointJournal:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 raw_lines = handle.read().split("\n")
-        except OSError as error:
+        except (OSError, UnicodeDecodeError) as error:
             raise CheckpointError(
                 f"cannot read checkpoint {path!r}: {error}"
             ) from None
@@ -512,6 +512,13 @@ class CheckpointJournal:
         for position, (number, line) in enumerate(lines):
             try:
                 payload = json.loads(line)
+            except RecursionError:
+                # The writer never nests records: corruption, not a
+                # torn append, wherever it sits.
+                raise CheckpointError(
+                    f"checkpoint {path!r} is corrupt at line "
+                    f"{number}: record nested too deeply"
+                ) from None
             except ValueError:
                 if position == last_position:
                     warnings.append(

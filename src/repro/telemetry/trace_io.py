@@ -15,6 +15,7 @@ headline numbers that ``repro trace summarize`` prints.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
@@ -64,6 +65,15 @@ def validate_trace_record(
     time = record["t"]
     if isinstance(time, bool) or not isinstance(time, (int, float)):
         raise fail(f"t must be a number, got {time!r}")
+    # json parses NaN and Infinity; a NaN would also switch off the
+    # time-regression check for the next line. An int too large for a
+    # float is no usable time either.
+    try:
+        finite = math.isfinite(time)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise fail(f"t must be a finite number, got {time!r}")
     if (
         previous_time is not None
         and float(time) < previous_time - 1e-9
@@ -82,13 +92,13 @@ def read_trace(path: Union[str, Path]) -> List[Dict[str, object]]:
     """Parse and validate a JSONL trace file.
 
     Raises :class:`TelemetryError` (with the offending line number)
-    for unreadable files, malformed JSON, schema violations, seq gaps,
-    or time going backwards.
+    for unreadable or non-UTF-8 files, malformed or too deeply nested
+    JSON, schema violations, seq gaps, or time going backwards.
     """
     trace_path = Path(path)
     try:
         text = trace_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TelemetryError(
             f"cannot read trace {trace_path}: {exc}"
         ) from exc
@@ -104,6 +114,10 @@ def read_trace(path: Union[str, Path]) -> List[Dict[str, object]]:
             raise TelemetryError(
                 f"trace line {lineno}: invalid JSON ({exc.msg})"
             ) from exc
+        except RecursionError:
+            raise TelemetryError(
+                f"trace line {lineno}: JSON nested too deeply"
+            ) from None
         record = validate_trace_record(
             parsed, lineno, previous_seq, previous_time
         )

@@ -300,6 +300,53 @@ class TestJsonSpecs:
         with pytest.raises(AnalysisError):
             graph_spec_from_json({"operators": "nope"})
 
+    def test_non_utf8_file_raises(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(AnalysisError, match="could not load"):
+            graph_spec_from_json(path)
+
+    def test_deep_nesting_raises(self, tmp_path):
+        nested = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(AnalysisError, match="nested too deeply"):
+            graph_spec_from_json(nested)
+        path = tmp_path / "graph.json"
+        path.write_text(nested)
+        with pytest.raises(AnalysisError, match="nested too deeply"):
+            graph_spec_from_json(path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("selectivity", "x"),
+            ("selectivity", [2.0]),
+            ("selectivity", True),
+            pytest.param("selectivity", 10**400, id="selectivity-huge"),
+            ("rate", "fast"),
+            ("rate", {"per_s": 1}),
+        ],
+    )
+    def test_non_numeric_field_names_operator_and_field(
+        self, field, value
+    ):
+        doc = json.loads(json.dumps(self.PIPELINE))
+        doc["operators"][1][field] = value
+        with pytest.raises(AnalysisError, match=f"'map'.*'{field}'"):
+            graph_spec_from_json(doc)
+
+    @pytest.mark.parametrize("value", ["false", 0, None, [False]])
+    def test_data_parallel_must_be_a_json_bool(self, value):
+        doc = json.loads(json.dumps(self.PIPELINE))
+        doc["operators"][1]["data_parallel"] = value
+        with pytest.raises(AnalysisError, match="'map'.*'data_parallel'"):
+            graph_spec_from_json(doc)
+
+    def test_data_parallel_bool_is_kept(self):
+        doc = json.loads(json.dumps(self.PIPELINE))
+        doc["operators"][1]["data_parallel"] = False
+        spec = graph_spec_from_json(doc)
+        assert spec.nodes[1].data_parallel is False
+
     def test_semantic_problems_left_to_checker(self):
         doc = dict(self.PIPELINE)
         doc["edges"] = [["src", "map"], ["map", "src"]]

@@ -38,6 +38,7 @@ from repro.faults.checkpoint import (
     CheckpointJournal,
     JournalHeader,
     cell_fingerprint,
+    load_journal,
     scorecard_from_payload,
     scorecard_to_payload,
 )
@@ -195,6 +196,31 @@ class TestJournalCorruption:
         Path(path).write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="corrupt at line 2"):
             CheckpointJournal.open(path, HEADER, resume=True)
+
+    def test_non_utf8_journal_rejected(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(CheckpointError, match="cannot read"):
+            load_journal(str(path))
+
+    @pytest.mark.parametrize("final", [False, True])
+    def test_deep_nesting_rejected(self, tmp_path, final):
+        """A record nested too deeply for the parser is corruption,
+        also as the final line: a torn append cannot produce one."""
+        path, _ = _journal_with_cells(tmp_path)
+        lines = Path(path).read_text().splitlines()
+        nested = "[" * 100_000 + "]" * 100_000
+        if final:
+            lines.append(nested)
+            number = len(lines)
+        else:
+            lines.insert(1, nested)
+            number = 2
+        Path(path).write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            CheckpointError, match=f"line {number}: record nested"
+        ):
+            load_journal(path)
 
     def test_unknown_record_kind_rejected(self, tmp_path):
         path, _ = _journal_with_cells(tmp_path)

@@ -76,6 +76,19 @@ class TestValidateRecord:
             with pytest.raises(TelemetryError, match="t must"):
                 validate_trace_record(_record(t=t), 1)
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            pytest.param(10**400, id="huge-int"),
+        ],
+    )
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(TelemetryError, match="finite"):
+            validate_trace_record(_record(t=t), 1)
+
     def test_rejects_time_regression(self):
         with pytest.raises(TelemetryError, match="precedes"):
             validate_trace_record(
@@ -105,6 +118,29 @@ class TestReadTrace:
             '{"data":{},"kind":"k","seq":0,"t":0.0}\nnot json\n'
         )
         with pytest.raises(TelemetryError, match="line 2"):
+            read_trace(path)
+
+    def test_nan_time_cannot_hide_a_regression(self, tmp_path):
+        """json parses NaN; a NaN ``t`` used to pass and switch off the
+        regression check, so ``NaN`` then ``-5`` was accepted."""
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"data":{},"kind":"k","seq":0,"t":NaN}\n'
+            '{"data":{},"kind":"k","seq":1,"t":-5}\n'
+        )
+        with pytest.raises(TelemetryError, match="line 1.*finite"):
+            read_trace(path)
+
+    def test_non_utf8_file_is_a_telemetry_error(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(TelemetryError, match="cannot read"):
+            read_trace(path)
+
+    def test_deep_nesting_is_a_telemetry_error(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(TelemetryError, match="line 1.*nested"):
             read_trace(path)
 
     def test_blank_lines_are_skipped(self, tmp_path):
